@@ -1,10 +1,12 @@
 """Optimal linear assignment over cost matrices, with per-pair gating.
 
-Both solvers implement the same contract: among all one-to-one partial
-assignments of maximum cardinality restricted to pairs whose cost does not
-exceed the gate, return one of minimum total cost.  ``solve`` delegates to
-scipy's Jonker-Volgenant-style solver; ``solve_bruteforce`` enumerates and
-exists as an independent oracle for small matrices.
+All solvers implement the same contract: among all one-to-one partial
+assignments of maximum cardinality restricted to admissible pairs, return
+one of minimum total cost.  ``solve_admissible`` takes the admissible pairs
+as a boolean mask and delegates to scipy's Jonker-Volgenant-style solver;
+``solve`` admits the pairs whose cost does not exceed a gate and calls it;
+``solve_bruteforce`` enumerates and exists as an independent oracle for
+small matrices.
 """
 
 from __future__ import annotations
@@ -61,11 +63,21 @@ def solve(cost, gate: Optional[float] = None) -> AssignmentResult:
     pair is allowed.  Empty matrices yield empty matches.
     """
     m = _as_cost_matrix(cost)
-    n_rows, n_cols = m.shape
-    if n_rows == 0 or n_cols == 0:
-        return _result(m, [])
+    return solve_admissible(m, np.ones(m.shape, dtype=bool) if gate is None else m <= gate)
 
-    allowed = np.ones_like(m, dtype=bool) if gate is None else m <= gate
+
+def solve_admissible(cost, admissible) -> AssignmentResult:
+    """Minimum-cost, maximum-cardinality assignment over admissible pairs.
+
+    ``admissible`` is a boolean mask of the cost matrix's shape; pairs where
+    it is False are never matched.
+    """
+    m = _as_cost_matrix(cost)
+    allowed = np.asarray(admissible, dtype=bool)
+    if allowed.shape != m.shape:
+        raise ValueError(
+            f"admissible mask shape {allowed.shape} differs from cost shape {m.shape}"
+        )
     if not allowed.any():
         return _result(m, [])
     # Big-M for forbidden pairs, chosen from allowed entries only so that the

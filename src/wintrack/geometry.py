@@ -57,29 +57,32 @@ class BoundingBox:
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes, in [0, 1].
 
-    Touching boxes (zero-area intersection) score 0.  Operands are put in
-    a canonical order first so iou(a, b) == iou(b, a) bit-for-bit.
+    Touching boxes (zero-area intersection) score 0, equal boxes exactly 1.
     """
-    if a == b:
-        return 1.0
-    if (b.x, b.y, b.w, b.h) < (a.x, a.y, a.w, a.h):
-        a, b = b, a
-    iw = min(a.right, b.right) - max(a.x, b.x)
-    if iw <= 0:
-        return 0.0
-    ih = min(a.bottom, b.bottom) - max(a.y, b.y)
-    if ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return float(iou_matrix([a], [b])[0, 0])
+
+
+def _columns(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """(x, y, w, h) as four rows of shape (4, len(boxes))."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4).T
 
 
 def iou_matrix(rows: Sequence[BoundingBox], cols: Sequence[BoundingBox]) -> np.ndarray:
-    """IoU of every row box against every column box, shape (len(rows), len(cols))."""
-    out = np.zeros((len(rows), len(cols)), dtype=float)
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
-            out[i, j] = iou(a, b)
+    """IoU of every row box against every column box, shape (len(rows), len(cols)).
+
+    Each entry is iou(rows[i], cols[j]); swapping the arguments transposes
+    the result exactly.
+    """
+    a = _columns(rows)[:, :, None]
+    b = _columns(cols)[:, None, :]
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    out = np.divide(inter, union, out=np.zeros(inter.shape), where=(iw > 0) & (ih > 0))
+    out[(a == b).all(axis=0)] = 1.0
     return out
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assignment import solve
+from .assignment import solve, solve_admissible
 from .geometry import BoundingBox, iou_matrix
 from .motio import MotRecord
 from .trackers import TrackedDetection
@@ -153,13 +153,7 @@ def _match_pairs(overlap: np.ndarray, threshold: float) -> list[tuple[int, int]]
     ties toward the largest total IoU.  Requires threshold > 0."""
     if threshold <= 0:
         raise ValueError("matching threshold must be positive")
-    if overlap.size == 0:
-        return []
-    admissible = overlap >= threshold
-    if not admissible.any():
-        return []
-    cost = np.where(admissible, 1.0 - overlap, 3.0)
-    return list(solve(cost, gate=1.0).matches)
+    return list(solve_admissible(1.0 - overlap, overlap >= threshold).matches)
 
 
 def match_clear(gt: FrameBoxes, pred: FrameBoxes,
@@ -173,24 +167,26 @@ def match_clear(gt: FrameBoxes, pred: FrameBoxes,
         g = gt.get(frame, [])
         p = pred.get(frame, [])
         gt_det += len(g)
-        g_map = {i: b for i, b in g}
-        p_map = {i: b for i, b in p}
+        overlap = iou_matrix([b for _, b in g], [b for _, b in p])
+        # A repeated id in a frame stands for its last box.
+        g_row = {i: r for r, (i, _) in enumerate(g)}
+        p_col = {i: c for c, (i, _) in enumerate(p)}
 
         pairs: list[tuple[int, int, float]] = []
         for gid, pid in prev.items():
-            if gid in g_map and pid in p_map:
-                overlap = iou_matrix([g_map[gid]], [p_map[pid]])[0, 0]
-                if overlap >= threshold:
-                    pairs.append((gid, pid, float(overlap)))
+            if gid in g_row and pid in p_col:
+                s = float(overlap[g_row[gid], p_col[pid]])
+                if s >= threshold:
+                    pairs.append((gid, pid, s))
 
         taken_g = {gid for gid, _, _ in pairs}
         taken_p = {pid for _, pid, _ in pairs}
-        rest_g = [(i, b) for i, b in g if i not in taken_g]
-        rest_p = [(i, b) for i, b in p if i not in taken_p]
+        rest_g = [r for r, (i, _) in enumerate(g) if i not in taken_g]
+        rest_p = [c for c, (i, _) in enumerate(p) if i not in taken_p]
         if rest_g and rest_p:
-            overlap = iou_matrix([b for _, b in rest_g], [b for _, b in rest_p])
-            for r, c in _match_pairs(overlap, threshold):
-                pairs.append((rest_g[r][0], rest_p[c][0], float(overlap[r, c])))
+            rest = overlap[np.ix_(rest_g, rest_p)]
+            for r, c in _match_pairs(rest, threshold):
+                pairs.append((g[rest_g[r]][0], p[rest_p[c]][0], float(rest[r, c])))
 
         for gid, pid, s in pairs:
             tp += 1
@@ -217,41 +213,29 @@ def motp(counts: ClearCounts) -> float:
     return counts.similarity_sum / counts.tp
 
 
-def _trajectories(frames: FrameBoxes) -> dict[int, dict[int, BoundingBox]]:
-    out: dict[int, dict[int, BoundingBox]] = {}
-    for frame, items in frames.items():
-        for i, b in items:
-            out.setdefault(i, {})[frame] = b
-    return out
-
-
 def identity_counts(gt: FrameBoxes, pred: FrameBoxes,
                     threshold: float = IDENTITY_IOU_THRESHOLD) -> IdentityCounts:
     """Trajectory-level matching maximizing total per-frame matches."""
-    gt_traj = _trajectories(gt)
-    pred_traj = _trajectories(pred)
-    gt_total = sum(len(t) for t in gt_traj.values())
-    pred_total = sum(len(t) for t in pred_traj.values())
-    idtp = 0
-    if gt_traj and pred_traj:
-        gt_ids = sorted(gt_traj)
-        pred_ids = sorted(pred_traj)
-        matches = np.zeros((len(gt_ids), len(pred_ids)))
-        for i, gid in enumerate(gt_ids):
-            g = gt_traj[gid]
-            for j, pid in enumerate(pred_ids):
-                p = pred_traj[pid]
-                m = 0
-                for frame, box in g.items():
-                    other = p.get(frame)
-                    if other is not None and iou_matrix([box], [other])[0, 0] >= threshold:
-                        m += 1
-                matches[i, j] = m
-        # Minimizing the negated match counts maximizes IDTP; pairing a
-        # trajectory with a zero-match partner is equivalent to leaving it
-        # unpaired, so no dummy padding is needed.
-        result = solve(-matches)
-        idtp = int(sum(matches[r, c] for r, c in result.matches))
+    # A repeated id in a frame stands for its last box.
+    gt_boxes = {f: dict(items) for f, items in gt.items()}
+    pred_boxes = {f: dict(items) for f, items in pred.items()}
+    gt_total = sum(len(b) for b in gt_boxes.values())
+    pred_total = sum(len(b) for b in pred_boxes.values())
+    gt_row = {i: r for r, i in enumerate(sorted({i for b in gt_boxes.values() for i in b}))}
+    pred_col = {i: c for c, i in enumerate(sorted({i for b in pred_boxes.values() for i in b}))}
+    # matches[r, c]: frames where gt trajectory r and predicted trajectory c
+    # overlap at IoU >= threshold.
+    matches = np.zeros((len(gt_row), len(pred_col)))
+    for frame in gt_boxes.keys() & pred_boxes.keys():
+        g, p = gt_boxes[frame], pred_boxes[frame]
+        hit_g, hit_p = np.nonzero(iou_matrix(list(g.values()), list(p.values())) >= threshold)
+        rows = np.array([gt_row[i] for i in g], dtype=int)
+        cols = np.array([pred_col[i] for i in p], dtype=int)
+        matches[rows[hit_g], cols[hit_p]] += 1
+    # Minimizing the negated match counts maximizes IDTP; pairing a
+    # trajectory with a zero-match partner is equivalent to leaving it
+    # unpaired, so no dummy padding is needed.
+    idtp = int(sum(matches[r, c] for r, c in solve(-matches).matches))
     return IdentityCounts(idtp=idtp, idfp=pred_total - idtp, idfn=gt_total - idtp)
 
 

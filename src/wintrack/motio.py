@@ -17,6 +17,7 @@ LF is emitted.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -72,11 +73,16 @@ def _numbered_rows(path) -> Iterable[tuple[int, list[str]]]:
 
 def _parse_float(path, lineno, name, text) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise MotFileError(
             f"{path}: line {lineno}: field {name!r} is not numeric: {text!r}"
         ) from None
+    if not math.isfinite(value):
+        raise MotFileError(
+            f"{path}: line {lineno}: field {name!r} must be finite: {text!r}"
+        )
+    return value
 
 
 def _parse_int(path, lineno, name, text) -> int:
@@ -107,8 +113,9 @@ def _parse_geometry(path, lineno, fields) -> tuple[float, float, float, float]:
 def read_detections(path) -> dict[int, list[Detection]]:
     """Read a detection file, grouped by frame and ordered.
 
-    Confidences outside [0, 1] are clamped (with a warning count); rows with
-    non-positive width or height are rejected with a diagnostic.
+    Non-finite fields raise MotFileError.  Confidences outside [0, 1] are
+    clamped (with a warning count); rows with non-positive width or height
+    are rejected with a diagnostic.
     """
     grouped: dict[int, list[Detection]] = {}
     clamped = 0

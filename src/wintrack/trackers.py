@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assignment import AssignmentResult, solve
+from .assignment import AssignmentResult, solve, solve_admissible
 from .geometry import BoundingBox, iou_distance_matrix
 from .kalman import DegenerateStateError, KalmanState, MotionFilter, state_to_box
 
@@ -335,8 +335,8 @@ class OcSortTracker(_TrackerBase):
                 anchors.append(anchor)
 
         dist = iou_distance_matrix(anchors, [d.box for d in dets])
-        if cfg.ocm_weight > 0 and tracks and dets:
-            direction = np.zeros_like(dist)
+        direction = np.zeros_like(dist)
+        if cfg.ocm_weight > 0:
             for i, t in enumerate(tracks):
                 heading = self._track_heading(t)
                 if heading == (0.0, 0.0):
@@ -345,17 +345,10 @@ class OcSortTracker(_TrackerBase):
                 for j, d in enumerate(dets):
                     dx, dy = _center(d.box)
                     direction[i, j] = _direction_cost(heading, (dx - lx, dy - ly))
-            # Gate on the IoU distance alone; the direction term only ranks
-            # candidates that already overlap enough.
-            gate = cfg.iou_gate + cfg.ocm_weight
-            cost = np.where(
-                dist <= cfg.iou_gate,
-                dist + cfg.ocm_weight * direction,
-                gate + 1.0,
-            )
-            result = solve(cost, gate=gate)
-        else:
-            result = solve(dist, gate=cfg.iou_gate)
+        # Gate on the IoU distance alone; the direction term only ranks
+        # candidates that already overlap enough.
+        result = solve_admissible(dist + cfg.ocm_weight * direction,
+                                  dist <= cfg.iou_gate)
 
         pairs = [(tracks[r], dets[c]) for r, c in result.matches]
         spawn = [dets[c] for c in result.unmatched_cols]

@@ -6,9 +6,9 @@ highest-confidence box of each level-1 id is fed, as a single pseudo-frame,
 to a second tracker (level 2) that therefore runs at 1/k of the frame rate
 over only the cleanest boxes.  Level-2 ids are then taken as reference:
 each buffered frame's level-1 boxes are matched to the window's level-2
-boxes by gated IoU-distance assignment and relabeled with the matching
-level-2 id.  Level-1 boxes that match no level-2 box keep a deterministic
-fresh id from a disjoint namespace.
+boxes by IoU-distance assignment, admitting only pairs that overlap, and
+relabeled with the matching level-2 id.  Level-1 boxes that match no
+level-2 box keep a deterministic fresh id from a disjoint namespace.
 
 Because level 2 steps once per window, a track it can hold for n of its own
 steps survives k*n source frames, which is what lets the corrected stream
@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .assignment import solve
+from .assignment import solve_admissible
 from .geometry import iou_matrix
 from .trackers import Detection, TrackedDetection, _TrackerBase
 
@@ -124,27 +122,15 @@ class WindowedTracker:
 
         corrected: list[TrackedDetection] = []
         for frame, tracked in buffer.frames:
-            id_map = self._match_frame([td.box for td in tracked], level2_boxes,
-                                       level2_out)
+            overlap = iou_matrix([td.box for td in tracked], level2_boxes)
+            id_map = {
+                r: level2_out[c].track_id
+                for r, c in solve_admissible(1.0 - overlap, overlap > 0.0).matches
+            }
             for idx, td in enumerate(tracked):
                 new_id = id_map.get(idx, UNMATCHED_ID_OFFSET + td.track_id)
                 corrected.append(TrackedDetection(td.detection, new_id))
         return corrected
-
-    @staticmethod
-    def _match_frame(frame_boxes, level2_boxes, level2_out) -> dict[int, int]:
-        """Assign one frame's level-1 boxes to level-2 ids.
-
-        A pair is admissible only with strictly positive overlap; the
-        assignment then minimizes total IoU distance.  Returns a map from
-        level-1 position in the frame to the matched level-2 id.
-        """
-        if not frame_boxes or not level2_boxes:
-            return {}
-        overlap = iou_matrix(frame_boxes, level2_boxes)
-        cost = np.where(overlap > 0.0, 1.0 - overlap, 3.0)
-        result = solve(cost, gate=1.0)
-        return {r: level2_out[c].track_id for r, c in result.matches}
 
 
 def run_windowed(

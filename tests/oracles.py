@@ -33,6 +33,23 @@ def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 2 ** 17) -> float:
     return cells_i / union if union else 0.0
 
 
+def iou_scalar(a: BoundingBox, b: BoundingBox) -> float:
+    """IoU as the package computed it before its numpy kernel: one pair at
+    a time in Python floats, operands put in a canonical order first."""
+    if a == b:
+        return 1.0
+    if (b.x, b.y, b.w, b.h) < (a.x, a.y, a.w, a.h):
+        a, b = b, a
+    iw = min(a.right, b.right) - max(a.x, b.x)
+    if iw <= 0:
+        return 0.0
+    ih = min(a.bottom, b.bottom) - max(a.y, b.y)
+    if ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area + b.area - inter)
+
+
 class ScalarKalman:
     """Position/velocity filter written out as explicit 2x2 algebra."""
 

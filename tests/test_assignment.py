@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from wintrack.assignment import solve, solve_bruteforce
+from wintrack.assignment import solve, solve_admissible, solve_bruteforce
 
 
 def random_matrix(rng: random.Random):
@@ -45,6 +45,10 @@ class TestSolve:
         result = solve(np.zeros((0, 3)))
         assert result.matches == ()
         assert result.unmatched_cols == (0, 1, 2)
+
+    def test_admissible_mask_shape_must_match_cost(self):
+        with pytest.raises(ValueError, match="shape"):
+            solve_admissible(np.zeros((2, 3)), np.ones((3, 2), dtype=bool))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -101,6 +105,14 @@ class TestAgreement:
             gate = rng.random() if trial % 2 else None
             fast = solve(m, gate=gate)
             slow = solve_bruteforce(m, gate=gate)
+            assert len(fast.matches) == len(slow.matches)
+            assert fast.total_cost == slow.total_cost
+            # The same matrix under a random admissible mask; the oracle sees
+            # inadmissible pairs as costs above a gate that admits all others.
+            mask = np.random.default_rng(trial).random(m.shape) < 0.6
+            fast = solve_admissible(m, mask)
+            slow = solve_bruteforce(np.where(mask, m, 2.0), gate=1.0)
+            assert all(mask[r, c] for r, c in fast.matches)
             assert len(fast.matches) == len(slow.matches)
             assert fast.total_cost == slow.total_cost
 

@@ -52,6 +52,15 @@ class TestTrack:
                      "--out", str(tmp_path / "r.txt")])
         assert code == 3
 
+    def test_non_finite_frame_is_data_error(self, tmp_path, capsys):
+        det_path = tmp_path / "det.txt"
+        det_path.write_text("inf,-1,10,20,30,40,0.9,-1,-1,-1\n")
+        code = main(["track", "--det", str(det_path), "--l1", "sort",
+                     "--out", str(tmp_path / "r.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "det.txt: line 1" in err and "'frame'" in err
+
     def test_config_file_overrides(self, scene_files, tmp_path):
         _, det_path = scene_files
         cfg = tmp_path / "cfg.ini"
@@ -187,11 +196,19 @@ class TestMisc:
         assert "track" in capsys.readouterr().out
 
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
 
+        import wintrack
+
+        # The child imports the same package this process does, however
+        # the test run put it on sys.path.
+        src = os.path.dirname(os.path.dirname(wintrack.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "wintrack", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "track" in proc.stdout
 

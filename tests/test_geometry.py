@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import grid_iou
+from oracles import grid_iou, iou_scalar
 from wintrack.geometry import BoundingBox, iou, iou_distance_matrix, iou_matrix
 
 from conftest import random_box
@@ -109,3 +109,53 @@ class TestIouDistanceMatrix:
         cols = [random_box(rng) for _ in range(5)]
         m = iou_distance_matrix(rows, cols)
         assert np.all(m >= 0.0) and np.all(m <= 1.0)
+
+
+def _bits(m: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(m, dtype=np.float64).view(np.uint64)
+
+
+def _scalar_matrix(rows, cols) -> np.ndarray:
+    return np.array([[iou_scalar(a, b) for b in cols] for a in rows],
+                    dtype=float).reshape(len(rows), len(cols))
+
+
+class TestIouMatrixMatchesScalarOracle:
+    """iou_matrix must agree bit for bit with the one-pair-at-a-time oracle."""
+
+    @staticmethod
+    def _check(rows, cols):
+        m = iou_matrix(rows, cols)
+        assert np.array_equal(_bits(m), _bits(_scalar_matrix(rows, cols)))
+        assert np.array_equal(_bits(m), _bits(iou_matrix(cols, rows).T))
+
+    def test_random_boxes(self, rng):
+        for _ in range(20):
+            rows = [random_box(rng) for _ in range(rng.randint(0, 12))]
+            cols = [random_box(rng) for _ in range(rng.randint(0, 12))]
+            self._check(rows, cols)
+
+    def test_integer_grid_boxes(self, rng):
+        def grid_box():
+            return BoundingBox(rng.randint(0, 6), rng.randint(0, 6),
+                               rng.randint(1, 4), rng.randint(1, 4))
+        for _ in range(20):
+            self._check([grid_box() for _ in range(10)], [grid_box() for _ in range(10)])
+
+    def test_touching_boxes(self, rng):
+        # Integer coordinates keep every shared edge exact.
+        for _ in range(20):
+            a = BoundingBox(rng.randint(0, 50), rng.randint(0, 50),
+                            rng.randint(1, 20), rng.randint(1, 20))
+            side = [BoundingBox(a.right, a.y, 3.0, a.h), BoundingBox(a.x, a.bottom, a.w, 2.0),
+                    BoundingBox(a.x - 5.0, a.y, 5.0, a.h), BoundingBox(a.right, a.bottom, 1.0, 1.0)]
+            self._check([a], side)
+            assert not iou_matrix([a], side).any()
+
+    def test_rows_duplicated_into_columns(self, rng):
+        for _ in range(20):
+            rows = [random_box(rng) for _ in range(8)]
+            cols = rows[3:] + [random_box(rng) for _ in range(4)] + rows[:3]
+            self._check(rows, cols)
+            m = iou_matrix(rows, rows)
+            assert np.all(np.diag(m) == 1.0)

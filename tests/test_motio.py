@@ -47,6 +47,20 @@ class TestReadDetections:
         with pytest.raises(MotFileError, match="line 2"):
             read_detections(p)
 
+    @pytest.mark.parametrize("row, field", [
+        ("1,-1,10,20,inf,40,0.9", "w"),
+        ("1,-1,nan,20,30,40,0.9", "x"),
+        ("1,-1,10,20,30,40,nan", "conf"),
+        ("1,-1,10,20,30,40,-inf", "conf"),
+        ("inf,-1,10,20,30,40,0.9", "frame"),
+        ("nan,-1,10,20,30,40,0.9", "frame"),
+    ])
+    def test_non_finite_field_names_path_line_and_field(self, tmp_path, row, field):
+        p = tmp_path / "det.txt"
+        p.write_text("1,-1,10,20,30,40,0.9\n" + row + "\n")
+        with pytest.raises(MotFileError, match=rf"det\.txt: line 2: field '{field}'"):
+            read_detections(p)
+
     def test_confidence_clamped_with_warning(self, tmp_path, caplog):
         p = tmp_path / "det.txt"
         p.write_text("1,-1,10,20,30,40,1.7,-1,-1,-1\n1,-1,60,20,30,40,-0.2,-1,-1,-1\n")
@@ -110,6 +124,17 @@ class TestReadGroundTruth:
         with pytest.raises(MotFileError, match="duplicate"):
             read_ground_truth(p)
 
+    @pytest.mark.parametrize("row, field", [
+        ("1,3,0,0,10,inf,1,1,1.0", "h"),
+        ("1,3,0,0,10,10,1,1,nan", "visibility"),
+        ("1,inf,0,0,10,10,1,1,1.0", "id"),
+    ])
+    def test_non_finite_field_rejected(self, tmp_path, row, field):
+        p = tmp_path / "gt.txt"
+        p.write_text(row + "\n")
+        with pytest.raises(MotFileError, match=rf"gt\.txt: line 1: field '{field}'"):
+            read_ground_truth(p)
+
     def test_missing_tail_columns_rejected(self, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text("1,3,0,0,10,10,1\n")
@@ -122,6 +147,12 @@ class TestReadResults:
         p = tmp_path / "res.txt"
         p.write_text("1,-1,10,20,30,40,0.9,-1,-1,-1\n")
         with pytest.raises(MotFileError, match="track id"):
+            read_results(p)
+
+    def test_nan_confidence_rejected(self, tmp_path):
+        p = tmp_path / "res.txt"
+        p.write_text("1,1,10,20,30,40,nan,-1,-1,-1\n")
+        with pytest.raises(MotFileError, match=r"res\.txt: line 1: field 'conf'"):
             read_results(p)
 
     def test_round_trips_written_results(self, tmp_path):
