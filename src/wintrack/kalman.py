@@ -4,7 +4,9 @@ The state is the 8-vector (cx, cy, w, h, vcx, vcy, vw, vh): box center,
 width and height, and their per-frame velocities.  Carrying width and
 height directly (rather than scale/aspect) means one filter serves every
 tracker in the package.  All operations are pure: they take a state and
-return a new one.
+return a new one.  A state may also be a stack of N states (mean (N, 8),
+covariance (N, 8, 8)); predict and update run the same arithmetic on every
+row at once, so a tracker steps all its live tracks in one call.
 
 Noise is scale-adaptive: standard deviations are proportional to the box
 height, with weights h/20 for measured components and h/160 for velocities
@@ -15,7 +17,7 @@ constructor parameter, and predict/update accept explicit noise overrides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,6 +34,7 @@ _F = np.eye(STATE_DIM)
 _F[:MEASUREMENT_DIM, MEASUREMENT_DIM:] = np.eye(MEASUREMENT_DIM)
 # Measurement picks out (cx, cy, w, h).
 _H = np.eye(MEASUREMENT_DIM, STATE_DIM)
+_DIAG = np.arange(STATE_DIM)
 
 
 class DegenerateStateError(ValueError):
@@ -40,8 +43,8 @@ class DegenerateStateError(ValueError):
 
 @dataclass(frozen=True)
 class KalmanState:
-    mean: np.ndarray        # shape (8,)
-    covariance: np.ndarray  # shape (8, 8), symmetric PSD
+    mean: np.ndarray        # shape (..., 8)
+    covariance: np.ndarray  # shape (..., 8, 8), each symmetric PSD
 
 
 def box_to_measurement(box: BoundingBox) -> np.ndarray:
@@ -49,7 +52,7 @@ def box_to_measurement(box: BoundingBox) -> np.ndarray:
 
 
 def state_to_box(state: KalmanState) -> BoundingBox:
-    """Inverse of the center-form conversion.
+    """Inverse of the center-form conversion, for one unstacked state.
 
     Raises DegenerateStateError when the state's width or height is not
     positive; callers decide whether to drop or retire the track.
@@ -60,8 +63,12 @@ def state_to_box(state: KalmanState) -> BoundingBox:
     return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
+def _transposed(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
 def _symmetrized(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    return (p + _transposed(p)) / 2.0
 
 
 class MotionFilter:
@@ -75,57 +82,69 @@ class MotionFilter:
         self.position_weight = position_weight
         self.velocity_weight = velocity_weight
 
-    def _noise_diag(self, h: float) -> np.ndarray:
-        pos = (self.position_weight * h) ** 2
-        vel = (self.velocity_weight * h) ** 2
-        return np.array([pos] * 4 + [vel] * 4, dtype=float)
+    def _noise(self, h) -> np.ndarray:
+        """Height-scaled diagonal covariance, one per height: (..., 8, 8)."""
+        weights = np.array([self.position_weight] * MEASUREMENT_DIM
+                           + [self.velocity_weight] * MEASUREMENT_DIM)
+        std = weights * np.asarray(h, dtype=float)[..., None]
+        noise = np.zeros(std.shape + (STATE_DIM,))
+        noise[..., _DIAG, _DIAG] = std ** 2
+        return noise
 
     def init_state(self, box: BoundingBox) -> KalmanState:
         """State centered on the measurement with zero initial velocity."""
         mean = np.zeros(STATE_DIM)
         mean[:MEASUREMENT_DIM] = box_to_measurement(box)
-        covariance = np.diag(self._noise_diag(box.h))
-        return KalmanState(mean=mean, covariance=covariance)
+        return KalmanState(mean=mean, covariance=self._noise(box.h))
 
     def predict(
         self, state: KalmanState, process_noise: Optional[np.ndarray] = None
     ) -> KalmanState:
-        """One constant-velocity step: F x, F P Fᵀ + Q.
+        """One constant-velocity step: F x, F P Fᵀ + Q, for one state or a stack.
 
         Q defaults to the height-scaled diagonal computed from the prior
         mean; pass process_noise (8x8) to override.
         """
         if process_noise is None:
-            q = np.diag(self._noise_diag(float(state.mean[3])))
+            q = self._noise(state.mean[..., 3])
         else:
             q = np.asarray(process_noise, dtype=float)
-        mean = _F @ state.mean
+        mean = state.mean @ _F.T
         covariance = _symmetrized(_F @ state.covariance @ _F.T + q)
         return KalmanState(mean=mean, covariance=covariance)
 
     def update(
         self,
         state: KalmanState,
-        box: BoundingBox,
+        measurement: Union[BoundingBox, np.ndarray],
         measurement_noise: Optional[np.ndarray] = None,
     ) -> KalmanState:
         """Standard measurement update against (cx, cy, w, h).
 
-        R defaults to the height-scaled diagonal from the measurement; pass
-        measurement_noise (4x4) to override.  The posterior covariance is
-        formed in Joseph form and re-symmetrized, so symmetry and positive
-        semidefiniteness hold by construction.
+        A single state takes a BoundingBox; a stack of N states takes an
+        (N, 4) array of (cx, cy, w, h) rows.  R defaults to the
+        height-scaled diagonal from the measurement; pass measurement_noise
+        (4x4) to override.  The posterior covariance is formed in Joseph
+        form and re-symmetrized, so symmetry and positive semidefiniteness
+        hold by construction.
         """
+        if isinstance(measurement, BoundingBox):
+            z = box_to_measurement(measurement)
+        else:
+            z = np.asarray(measurement, dtype=float)
         if measurement_noise is None:
-            r = np.diag(self._noise_diag(box.h)[:MEASUREMENT_DIM])
+            r = self._noise(z[..., 3])[..., :MEASUREMENT_DIM, :MEASUREMENT_DIM]
         else:
             r = np.asarray(measurement_noise, dtype=float)
-        z = box_to_measurement(box)
         p = state.covariance
-        innovation = z - _H @ state.mean
-        s = _H @ p @ _H.T + r
-        gain = np.linalg.solve(s, _H @ p).T
-        mean = state.mean + gain @ innovation
+        # H picks the first four state components, so H x, H P and H P Hᵀ
+        # are slices.
+        innovation = z - state.mean[..., :MEASUREMENT_DIM]
+        s = p[..., :MEASUREMENT_DIM, :MEASUREMENT_DIM] + r
+        gain = _transposed(np.linalg.solve(s, p[..., :MEASUREMENT_DIM, :]))
+        mean = state.mean + (gain @ innovation[..., None])[..., 0]
         i_kh = np.eye(STATE_DIM) - gain @ _H
-        covariance = _symmetrized(i_kh @ p @ i_kh.T + gain @ r @ gain.T)
+        covariance = _symmetrized(
+            i_kh @ p @ _transposed(i_kh) + gain @ r @ _transposed(gain)
+        )
         return KalmanState(mean=mean, covariance=covariance)

@@ -168,7 +168,8 @@ def match_clear(gt: FrameBoxes, pred: FrameBoxes,
         p = pred.get(frame, [])
         gt_det += len(g)
         overlap = iou_matrix([b for _, b in g], [b for _, b in p])
-        # A repeated id in a frame stands for its last box.
+        # evaluate rejects a repeated id in a frame; called directly, such
+        # an id stands for its last box here.
         g_row = {i: r for r, (i, _) in enumerate(g)}
         p_col = {i: c for c, (i, _) in enumerate(p)}
 
@@ -216,7 +217,8 @@ def motp(counts: ClearCounts) -> float:
 def identity_counts(gt: FrameBoxes, pred: FrameBoxes,
                     threshold: float = IDENTITY_IOU_THRESHOLD) -> IdentityCounts:
     """Trajectory-level matching maximizing total per-frame matches."""
-    # A repeated id in a frame stands for its last box.
+    # evaluate rejects a repeated id in a frame; called directly, such an
+    # id stands for its last box here.
     gt_boxes = {f: dict(items) for f, items in gt.items()}
     pred_boxes = {f: dict(items) for f, items in pred.items()}
     gt_total = sum(len(b) for b in gt_boxes.values())
@@ -304,16 +306,31 @@ def evaluate(gt: FrameBoxes, pred: FrameBoxes) -> MetricsReport:
     return evaluate_sequences([(gt, pred)])
 
 
+def _require_unique_ids(frames: FrameBoxes, side: str) -> None:
+    for frame, items in frames.items():
+        seen = set()
+        for i, _ in items:
+            if i in seen:
+                raise ValueError(f"{side}: frame {frame} repeats id {i}")
+            seen.add(i)
+
+
 def evaluate_sequences(
     pairs: Sequence[tuple[FrameBoxes, FrameBoxes]]
 ) -> MetricsReport:
-    """Score several sequences by pooling raw counts, not averaging scores."""
+    """Score several sequences by pooling raw counts, not averaging scores.
+
+    Raises ValueError when a frame of either side repeats an id, which the
+    CLEAR, identity and HOTA counts would otherwise read differently.
+    """
     if not pairs:
         raise UndefinedMetricError("no sequences to evaluate")
     clear = None
     identity = None
     acc = None
     for gt, pred in pairs:
+        _require_unique_ids(gt, "ground truth")
+        _require_unique_ids(pred, "prediction")
         c = match_clear(gt, pred)
         _, ic = idf1(gt, pred)
         _, a = hota(gt, pred)

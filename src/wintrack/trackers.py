@@ -15,11 +15,15 @@ detections are associated to existing tracks:
   cost, anchors lost tracks at their last observation instead of the
   drifting prediction, and on recovery rebuilds the filter by replaying
   linearly interpolated virtual observations across the gap.
+
+Each step runs one Kalman predict over the stacked states of all live
+tracks and one update over all matched tracks; only OC-SORT's recovery
+replay steps the filter per track.
 """
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -28,7 +32,8 @@ import numpy as np
 
 from .assignment import AssignmentResult, solve, solve_admissible
 from .geometry import BoundingBox, iou_distance_matrix
-from .kalman import DegenerateStateError, KalmanState, MotionFilter, state_to_box
+from .kalman import (DegenerateStateError, KalmanState, MotionFilter,
+                     box_to_measurement, state_to_box)
 
 TRACKER_KINDS = ("sort", "bytetrack", "ocsort")
 
@@ -117,12 +122,17 @@ class TrackerConfig:
 
 
 class Tracklet:
-    """Mutable per-track state: filter state, observation history, lifecycle."""
+    """Mutable per-track state: filter state, observation history, lifecycle.
 
-    def __init__(self, track_id: int, state: KalmanState, first: TrackedDetection):
+    history keeps only the last history_len observations, all that the
+    association stages read.
+    """
+
+    def __init__(self, track_id: int, state: KalmanState, first: TrackedDetection,
+                 history_len: int):
         self.id = track_id
         self.state = state
-        self.history: list[TrackedDetection] = [first]
+        self.history: deque[TrackedDetection] = deque([first], maxlen=history_len)
         self.status = TrackStatus.TENTATIVE
         self.frames_since_update = 0
         self.hit_streak = 1
@@ -143,21 +153,25 @@ def associate_iou(
     return solve(iou_distance_matrix(track_boxes, detection_boxes), gate=gate)
 
 
-def _center(box: BoundingBox) -> tuple[float, float]:
-    return box.cx, box.cy
+def _centers(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    return np.array([(b.cx, b.cy) for b in boxes])
 
 
-def _direction_cost(u: tuple[float, float], v: tuple[float, float]) -> float:
-    """Angle between two motion vectors, normalized to [0, 1].
+def direction_costs(headings: np.ndarray, displacements: np.ndarray) -> np.ndarray:
+    """Angle between each heading (T, 2) and each of its displacements
+    (T, D, 2), normalized to [0, 1]; returns (T, D).
 
     Zero-length vectors carry no direction and contribute no cost.
     """
-    nu = math.hypot(*u)
-    nv = math.hypot(*v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    cos = (u[0] * v[0] + u[1] * v[1]) / (nu * nv)
-    return math.acos(max(-1.0, min(1.0, cos))) / math.pi
+    u0 = headings[:, None, 0]
+    u1 = headings[:, None, 1]
+    v0 = displacements[..., 0]
+    v1 = displacements[..., 1]
+    norms = np.hypot(u0, u1) * np.hypot(v0, v1)
+    # Where a norm is zero, cos stays 1 and the angle is exactly 0.
+    cos = np.divide(u0 * v0 + u1 * v1, norms,
+                    out=np.ones_like(norms), where=norms != 0.0)
+    return np.arccos(np.clip(cos, -1.0, 1.0)) / np.pi
 
 
 class _TrackerBase:
@@ -192,21 +206,39 @@ class _TrackerBase:
                 )
         self._last_frame = frame
 
-        for t in self._tracks:
-            t.state = self._filter.predict(t.state)
-            try:
-                t.predicted_box = state_to_box(t.state)
-            except DegenerateStateError:
-                # Invalid geometry: sit this frame out rather than emit it.
-                t.predicted_box = None
+        if self._tracks:
+            predicted = self._filter.predict(_stacked(self._tracks))
+            for t, state in zip(self._tracks, _rows(predicted)):
+                t.state = state
+                try:
+                    t.predicted_box = state_to_box(state)
+                except DegenerateStateError:
+                    # Invalid geometry: sit this frame out rather than emit it.
+                    t.predicted_box = None
 
         pairs, spawn = self._associate(dets)
+
+        # One update for every matched track, except those whose update
+        # the tracker replays on its own.
+        direct = []
+        for t, det in pairs:
+            replayed = self._replayed_state(t, det)
+            if replayed is None:
+                direct.append((t, det))
+            else:
+                t.state = replayed
+        if direct:
+            updated = self._filter.update(
+                _stacked([t for t, _ in direct]),
+                np.array([box_to_measurement(d.box) for _, d in direct]),
+            )
+            for (t, _), state in zip(direct, _rows(updated)):
+                t.state = state
 
         emitted: list[TrackedDetection] = []
         matched = set()
         for t, det in pairs:
             matched.add(t.id)
-            t.state = self._updated_state(t, det)
             t.state_at_last_update = t.state
             t.frames_since_update = 0
             t.hit_streak += 1
@@ -227,7 +259,8 @@ class _TrackerBase:
 
         for det in spawn:
             t = Tracklet(self._next_id, self._filter.init_state(det.box),
-                         TrackedDetection(det, self._next_id))
+                         TrackedDetection(det, self._next_id),
+                         self.config.ocm_delta_t + 1)
             self._next_id += 1
             self._tracks.append(t)
             if t.hit_streak >= self.config.min_hits:
@@ -243,8 +276,10 @@ class _TrackerBase:
         self._tracks = survivors
         return emitted
 
-    def _updated_state(self, track: Tracklet, det: Detection) -> KalmanState:
-        return self._filter.update(track.state, det.box)
+    def _replayed_state(self, track: Tracklet, det: Detection) -> Optional[KalmanState]:
+        """The state after matching det, for a track whose update cannot
+        join the frame's batched one; None otherwise."""
+        return None
 
     def _associate(
         self, dets: list[Detection]
@@ -319,10 +354,11 @@ class OcSortTracker(_TrackerBase):
         obs = track.history
         if len(obs) < 2:
             return (0.0, 0.0)
-        ref = obs[max(0, len(obs) - 1 - self.config.ocm_delta_t)]
-        cx1, cy1 = _center(ref.detection.box)
-        cx2, cy2 = _center(obs[-1].detection.box)
-        return (cx2 - cx1, cy2 - cy1)
+        # history holds at most ocm_delta_t + 1 observations, so a full
+        # history's reference is its oldest entry.
+        ref = obs[max(0, len(obs) - 1 - self.config.ocm_delta_t)].box
+        last = obs[-1].box
+        return (last.cx - ref.cx, last.cy - ref.cy)
 
     def _associate(self, dets):
         cfg = self.config
@@ -336,15 +372,11 @@ class OcSortTracker(_TrackerBase):
 
         dist = iou_distance_matrix(anchors, [d.box for d in dets])
         direction = np.zeros_like(dist)
-        if cfg.ocm_weight > 0:
-            for i, t in enumerate(tracks):
-                heading = self._track_heading(t)
-                if heading == (0.0, 0.0):
-                    continue
-                lx, ly = _center(t.last_box)
-                for j, d in enumerate(dets):
-                    dx, dy = _center(d.box)
-                    direction[i, j] = _direction_cost(heading, (dx - lx, dy - ly))
+        if cfg.ocm_weight > 0 and dist.size:
+            headings = np.array([self._track_heading(t) for t in tracks])
+            displacements = (_centers([d.box for d in dets])[None, :, :]
+                             - _centers([t.last_box for t in tracks])[:, None, :])
+            direction = direction_costs(headings, displacements)
         # Gate on the IoU distance alone; the direction term only ranks
         # candidates that already overlap enough.
         result = solve_admissible(dist + cfg.ocm_weight * direction,
@@ -354,10 +386,10 @@ class OcSortTracker(_TrackerBase):
         spawn = [dets[c] for c in result.unmatched_cols]
         return pairs, spawn
 
-    def _updated_state(self, track: Tracklet, det: Detection) -> KalmanState:
+    def _replayed_state(self, track: Tracklet, det: Detection) -> Optional[KalmanState]:
         gap = track.frames_since_update
         if not self.config.oru_enabled or gap < 1:
-            return super()._updated_state(track, det)
+            return None
         # Replay the filter over the gap: from the state at the last real
         # observation, feed linearly interpolated virtual boxes, then the
         # current observation, exactly as if none had been missed.
@@ -372,6 +404,15 @@ class OcSortTracker(_TrackerBase):
             virtual = BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
             state = self._filter.update(self._filter.predict(state), virtual)
         return self._filter.update(self._filter.predict(state), b1)
+
+
+def _stacked(tracks: Sequence[Tracklet]) -> KalmanState:
+    return KalmanState(np.stack([t.state.mean for t in tracks]),
+                       np.stack([t.state.covariance for t in tracks]))
+
+
+def _rows(stack: KalmanState) -> list[KalmanState]:
+    return [KalmanState(m, c) for m, c in zip(stack.mean, stack.covariance)]
 
 
 _TRACKER_CLASSES = {

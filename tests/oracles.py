@@ -7,6 +7,7 @@ implementations under test.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -48,6 +49,21 @@ def iou_scalar(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = iw * ih
     return inter / (a.area + b.area - inter)
+
+
+def direction_cost_scalar(u: tuple[float, float], v: tuple[float, float]) -> float:
+    """Angle between two motion vectors, normalized to [0, 1].
+
+    Zero-length vectors carry no direction and contribute no cost.
+    (OC-SORT's direction term as the package computed it, one pair at a
+    time, before its broadcast form.)
+    """
+    nu = math.hypot(*u)
+    nv = math.hypot(*v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    cos = (u[0] * v[0] + u[1] * v[1]) / (nu * nv)
+    return math.acos(max(-1.0, min(1.0, cos))) / math.pi
 
 
 class ScalarKalman:

@@ -1,0 +1,98 @@
+"""Standing id goldens: the (frame, id) column of tracker output, hashed.
+
+Each expected digest was recorded from the package before its Kalman step
+and OC-SORT direction term were vectorized.  Those rewrites, like any
+refactor of the tracking core, must leave every emitted id where it was;
+a mismatch here means the association or the filter arithmetic changed
+an outcome, not merely a last bit of a state.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from wintrack.synth import (
+    BUNDLED_SUITE,
+    NoiseSpec,
+    Scenario,
+    TargetSpec,
+    bundled_scenario,
+    generate,
+)
+from wintrack.trackers import TRACKER_KINDS, TrackerConfig, make_tracker, run_tracker
+from wintrack.window import WindowedTracker, run_windowed
+
+GOLDEN_K = 3
+
+BUNDLED_DIGESTS = {
+    "crossing": "5aaaff929cdb232c",
+    "idswitch": "84b3ed6026639644",
+    "occlusion": "2a799f59c2b52f9f",
+    "confdip": "ad14ff04a9515da2",
+    "weave": "7249a8e5050e8028",
+}
+
+DENSE_DIGEST = "1367248d3e908d38"
+
+
+def dense_crossing_scenario() -> Scenario:
+    """30 targets crossing a 150 px band in both directions at about
+    5 px/frame over 100 frames, with jitter, dropout and confidence dips.
+
+    The band is narrow enough that OC-SORT's direction term decides some
+    associations: with ocm_weight=0 the ids differ."""
+    rng = random.Random(20240)
+    frames = 100
+    targets = []
+    for i in range(30):
+        y0 = rng.uniform(150.0, 300.0)
+        y1 = y0 + rng.uniform(-60.0, 60.0)
+        x0, x1 = (100.0, 500.0) if i % 2 == 0 else (500.0, 100.0)
+        start = rng.randint(1, 20)
+        targets.append(TargetSpec(
+            waypoints=((start, x0, y0), (start + frames - 20, x1, y1)),
+            width=rng.uniform(24.0, 40.0),
+            height=rng.uniform(56.0, 90.0),
+        ))
+    dips = tuple((t, a, a + 3, 0.3) for t, a in ((3, 20), (11, 35), (17, 50), (26, 28)))
+    noise = NoiseSpec(jitter_std=0.8, dropout=0.03, confidence_dips=dips)
+    return Scenario(name="dense-crossing", seed=20240, frame_count=frames,
+                    targets=tuple(targets), noise=noise)
+
+
+def _id_digest(tracked) -> str:
+    h = hashlib.sha256()
+    for td in tracked:
+        h.update(f"{td.frame},{td.track_id}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def _run(dets, l1, l2):
+    level1 = make_tracker(TrackerConfig(kind=l1))
+    if l2 is None:
+        return run_tracker(level1, dets)
+    wt = WindowedTracker(level1, make_tracker(TrackerConfig(kind=l2)), GOLDEN_K)
+    return run_windowed(wt, dets)
+
+
+def _suite_digest(dets, configs) -> str:
+    return hashlib.sha256(
+        "".join(_id_digest(_run(dets, l1, l2)) for l1, l2 in configs).encode()
+    ).hexdigest()[:16]
+
+
+SOLO_AND_PAIRS = [(l1, None) for l1 in TRACKER_KINDS] + [
+    (l1, l2) for l1 in TRACKER_KINDS for l2 in TRACKER_KINDS
+]
+
+
+@pytest.mark.parametrize("name", BUNDLED_SUITE)
+def test_bundled_ids_unchanged(name):
+    _, dets = generate(bundled_scenario(name))
+    assert _suite_digest(dets, SOLO_AND_PAIRS) == BUNDLED_DIGESTS[name]
+
+
+def test_dense_crossing_ids_unchanged():
+    _, dets = generate(dense_crossing_scenario())
+    assert _suite_digest(dets, [("ocsort", "bytetrack")]) == DENSE_DIGEST

@@ -169,6 +169,35 @@ class TestCycleInvariants:
             assert state.mean[2] > 0 and state.mean[3] > 0
 
 
+class TestStack:
+    def test_stack_equals_one_at_a_time_bitwise(self, motion, rng):
+        states = [random_state(rng, motion) for _ in range(200)]
+        boxes = [random_box(rng, pos_range=100.0) for _ in range(200)]
+        stack = KalmanState(np.stack([s.mean for s in states]),
+                            np.stack([s.covariance for s in states]))
+        predicted = motion.predict(stack)
+        updated = motion.update(
+            predicted, np.array([(b.cx, b.cy, b.w, b.h) for b in boxes]))
+        assert updated.mean.shape == (200, 8)
+        assert updated.covariance.shape == (200, 8, 8)
+        for i, (state, b) in enumerate(zip(states, boxes)):
+            p = motion.predict(state)
+            u = motion.update(p, b)
+            assert np.array_equal(predicted.mean[i], p.mean)
+            assert np.array_equal(predicted.covariance[i], p.covariance)
+            assert np.array_equal(updated.mean[i], u.mean)
+            assert np.array_equal(updated.covariance[i], u.covariance)
+
+    def test_stack_of_one(self, motion, rng):
+        state = random_state(rng, motion)
+        b = random_box(rng, pos_range=100.0)
+        one = KalmanState(state.mean[None], state.covariance[None])
+        out = motion.update(motion.predict(one), np.array([[b.cx, b.cy, b.w, b.h]]))
+        single = motion.update(motion.predict(state), b)
+        assert np.array_equal(out.mean[0], single.mean)
+        assert np.array_equal(out.covariance[0], single.covariance)
+
+
 class TestStateToBox:
     def test_round_trip(self, motion, rng):
         for _ in range(50):

@@ -194,6 +194,20 @@ class TestEvaluate:
             assert report.idf1 == pytest.approx(i.idtp / denom if denom else 0.0,
                                                 abs=1e-12)
 
+    def test_repeated_predicted_id_in_a_frame_rejected(self):
+        # CLEAR and HOTA would count both rows and the identity counts one
+        a = box(50.0, 50.0)
+        gt = {1: [(1, a)], 2: [(1, a)]}
+        pred = {1: [(7, a), (7, a)], 2: [(7, a)]}
+        with pytest.raises(ValueError, match=r"prediction.* frame 1 .*id 7"):
+            evaluate(gt, pred)
+
+    def test_repeated_ground_truth_id_rejected_in_any_sequence(self):
+        gt = single_track(range(1, 4))
+        bad = {1: [(1, box(50.0, 50.0))], 3: [(2, box(0, 0)), (2, box(20, 20))]}
+        with pytest.raises(ValueError, match=r"ground truth.* frame 3 .*id 2"):
+            evaluate_sequences([(gt, gt), (bad, gt)])
+
     def test_idtp_bounded_by_clear_tp(self):
         rng = random.Random(6)
         for _ in range(30):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,13 @@ from wintrack.trackers import (
     TrackedDetection,
     TrackerConfig,
     associate_iou,
+    direction_costs,
     make_tracker,
     run_tracker,
 )
 
 from conftest import random_scenario
+from oracles import direction_cost_scalar
 
 
 def det(frame, cx, cy, w=40.0, h=80.0, conf=1.0):
@@ -287,6 +291,54 @@ class TestOcSort:
         oc_out = run_tracker(OcSortTracker(oc_cfg), dets, gt.frame_count)
         sort_out = run_tracker(SortTracker(sort_cfg), dets, gt.frame_count)
         assert oc_out == sort_out
+
+
+class TestDirectionCosts:
+    def test_agrees_with_scalar_oracle(self):
+        # np.arccos and math.acos may differ in the last bit, so not bitwise
+        rng = np.random.default_rng(11)
+        headings = rng.normal(0.0, 5.0, size=(20, 2))
+        displacements = rng.normal(0.0, 30.0, size=(20, 15, 2))
+        displacements[3, 4] = -headings[3]          # opposite: cost 1
+        displacements[5, 6] = 2.0 * headings[5]     # aligned: cost 0
+        out = direction_costs(headings, displacements)
+        assert out.shape == (20, 15)
+        for i in range(20):
+            for j in range(15):
+                expected = direction_cost_scalar(tuple(headings[i]),
+                                                 tuple(displacements[i, j]))
+                assert out[i, j] == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_vectors_cost_exactly_zero(self):
+        headings = np.array([[0.0, 0.0], [3.0, -4.0]])
+        displacements = np.array([[[1.0, 2.0], [-5.0, 0.5]],
+                                  [[0.0, 0.0], [-3.0, 4.0]]])
+        out = direction_costs(headings, displacements)
+        assert out[0, 0] == 0.0 and out[0, 1] == 0.0  # no heading
+        assert out[1, 0] == 0.0                       # detection on the last centre
+        assert out[1, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestHistoryBound:
+    @pytest.mark.parametrize("kind", ["sort", "bytetrack", "ocsort"])
+    def test_history_holds_only_what_association_reads(self, kind):
+        cfg = TrackerConfig(kind=kind, min_hits=1)
+        tracker = make_tracker(cfg)
+        rng = random.Random(3)
+        observed = []
+        for f in range(1, 501):
+            d = det(f, 100.0 + 0.7 * f + rng.uniform(-0.5, 0.5), 200.0)
+            out = tracker.step(f, [d])
+            assert [td.track_id for td in out] == [1]
+            observed.append(d.box)
+            for t in tracker.tracks:
+                assert len(t.history) <= cfg.ocm_delta_t + 1
+        assert len(tracker.tracks) == 1
+        if kind == "ocsort":
+            # the heading spans the last ocm_delta_t steps of the full path
+            ref, last = observed[-1 - cfg.ocm_delta_t], observed[-1]
+            heading = tracker._track_heading(tracker.tracks[0])
+            assert heading == (last.cx - ref.cx, last.cy - ref.cy)
 
 
 class TestDeterminism:
