@@ -10,8 +10,8 @@ row at once, so a tracker steps all its live tracks in one call.
 
 Noise is scale-adaptive: standard deviations are proportional to the box
 height, with weights h/20 for measured components and h/160 for velocities
-(a common convention for this family of filters).  Every constant is a
-constructor parameter, and predict/update accept explicit noise overrides.
+(a common convention for this family of filters).  The weights are module
+constants; predict/update accept explicit noise overrides.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ _F[:MEASUREMENT_DIM, MEASUREMENT_DIM:] = np.eye(MEASUREMENT_DIM)
 # Measurement picks out (cx, cy, w, h).
 _H = np.eye(MEASUREMENT_DIM, STATE_DIM)
 _DIAG = np.arange(STATE_DIM)
+# Per-component standard deviation per unit of box height.
+_NOISE_WEIGHTS = np.array([DEFAULT_POSITION_WEIGHT] * MEASUREMENT_DIM
+                          + [DEFAULT_VELOCITY_WEIGHT] * MEASUREMENT_DIM)
 
 
 class DegenerateStateError(ValueError):
@@ -71,31 +74,22 @@ def _symmetrized(p: np.ndarray) -> np.ndarray:
     return (p + _transposed(p)) / 2.0
 
 
+def _noise(h) -> np.ndarray:
+    """Height-scaled diagonal covariance, one per height: (..., 8, 8)."""
+    std = _NOISE_WEIGHTS * np.asarray(h, dtype=float)[..., None]
+    noise = np.zeros(std.shape + (STATE_DIM,))
+    noise[..., _DIAG, _DIAG] = std ** 2
+    return noise
+
+
 class MotionFilter:
-    """Predict/update engine; holds only the noise weights, no track state."""
-
-    def __init__(
-        self,
-        position_weight: float = DEFAULT_POSITION_WEIGHT,
-        velocity_weight: float = DEFAULT_VELOCITY_WEIGHT,
-    ):
-        self.position_weight = position_weight
-        self.velocity_weight = velocity_weight
-
-    def _noise(self, h) -> np.ndarray:
-        """Height-scaled diagonal covariance, one per height: (..., 8, 8)."""
-        weights = np.array([self.position_weight] * MEASUREMENT_DIM
-                           + [self.velocity_weight] * MEASUREMENT_DIM)
-        std = weights * np.asarray(h, dtype=float)[..., None]
-        noise = np.zeros(std.shape + (STATE_DIM,))
-        noise[..., _DIAG, _DIAG] = std ** 2
-        return noise
+    """Predict/update engine; holds no state of its own or of any track."""
 
     def init_state(self, box: BoundingBox) -> KalmanState:
         """State centered on the measurement with zero initial velocity."""
         mean = np.zeros(STATE_DIM)
         mean[:MEASUREMENT_DIM] = box_to_measurement(box)
-        return KalmanState(mean=mean, covariance=self._noise(box.h))
+        return KalmanState(mean=mean, covariance=_noise(box.h))
 
     def predict(
         self, state: KalmanState, process_noise: Optional[np.ndarray] = None
@@ -106,7 +100,7 @@ class MotionFilter:
         mean; pass process_noise (8x8) to override.
         """
         if process_noise is None:
-            q = self._noise(state.mean[..., 3])
+            q = _noise(state.mean[..., 3])
         else:
             q = np.asarray(process_noise, dtype=float)
         mean = state.mean @ _F.T
@@ -133,7 +127,7 @@ class MotionFilter:
         else:
             z = np.asarray(measurement, dtype=float)
         if measurement_noise is None:
-            r = self._noise(z[..., 3])[..., :MEASUREMENT_DIM, :MEASUREMENT_DIM]
+            r = _noise(z[..., 3])[..., :MEASUREMENT_DIM, :MEASUREMENT_DIM]
         else:
             r = np.asarray(measurement_noise, dtype=float)
         p = state.covariance

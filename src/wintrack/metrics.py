@@ -1,7 +1,10 @@
 """MOT evaluation: CLEAR counts (MOTA/MOTP), identity F1, and HOTA.
 
 Inputs to every operation are frame-indexed id/box lists, one for ground
-truth and one for predictions.  The three accumulators are pure counts so
+truth and one for predictions.  A sequence is paired once: each frame of
+either side becomes its ground-truth ids, its predicted ids and one IoU
+matrix, which all three metrics read; a frame that repeats an id on
+either side is rejected.  The three accumulators are pure counts so
 multi-sequence aggregation pools raw counts (never averages of scores):
 
 * ClearCounts come from per-frame matching at a fixed IoU threshold with
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,60 +139,76 @@ class MetricsReport:
     hota_acc: HotaAccumulator
 
 
-def frames_from_records(records: Iterable[MotRecord]) -> FrameBoxes:
+def frames_from_records(records: Iterable[MotRecord | TrackedDetection]) -> FrameBoxes:
+    """Group rows carrying frame, track_id and box by frame, frames sorted."""
     out: FrameBoxes = {}
     for r in records:
         out.setdefault(r.frame, []).append((r.track_id, r.box))
     return dict(sorted(out.items()))
 
 
-def frames_from_tracked(tracked: Iterable[TrackedDetection]) -> FrameBoxes:
-    out: FrameBoxes = {}
-    for td in tracked:
-        out.setdefault(td.frame, []).append((td.track_id, td.box))
-    return dict(sorted(out.items()))
+frames_from_tracked = frames_from_records
+
+# One frame as every metric reads it: gt ids, pred ids, their gt x pred IoU.
+_PairedFrame = tuple[list[int], list[int], np.ndarray]
+
+
+def _unique_ids(items: list[tuple[int, BoundingBox]], side: str, frame: int) -> list[int]:
+    ids = [i for i, _ in items]
+    if len(set(ids)) < len(ids):
+        repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+        raise ValueError(f"{side}: frame {frame} repeats id {repeated}")
+    return ids
+
+
+def _pair_frames(gt: FrameBoxes, pred: FrameBoxes) -> list[_PairedFrame]:
+    """Every frame of either side, in order, with its one IoU matrix.
+
+    Raises ValueError when a frame of either side repeats an id, which the
+    CLEAR, identity and HOTA counts would otherwise read differently.
+    """
+    paired = []
+    for frame in sorted(gt.keys() | pred.keys()):
+        g = gt.get(frame, [])
+        p = pred.get(frame, [])
+        paired.append((_unique_ids(g, "ground truth", frame),
+                       _unique_ids(p, "prediction", frame),
+                       iou_matrix([b for _, b in g], [b for _, b in p])))
+    return paired
 
 
 def _match_pairs(overlap: np.ndarray, threshold: float) -> list[tuple[int, int]]:
     """Max-cardinality matching over pairs with IoU >= threshold, breaking
-    ties toward the largest total IoU.  Requires threshold > 0."""
-    if threshold <= 0:
-        raise ValueError("matching threshold must be positive")
+    ties toward the largest total IoU.  Every metric threshold is positive,
+    so a pair that does not overlap is never admitted."""
     return list(solve_admissible(1.0 - overlap, overlap >= threshold).matches)
 
 
-def match_clear(gt: FrameBoxes, pred: FrameBoxes,
-                threshold: float = CLEAR_IOU_THRESHOLD) -> ClearCounts:
-    """Per-frame CLEAR matching with persistence and switch counting."""
+def _clear(frames: list[_PairedFrame]) -> ClearCounts:
     gt_det = tp = fp = fn = idsw = 0
     similarity_sum = 0.0
     prev: dict[int, int] = {}        # matching carried from the previous frame
     last_match: dict[int, int] = {}  # most recent matched pred id per gt id
-    for frame in sorted(set(gt) | set(pred)):
-        g = gt.get(frame, [])
-        p = pred.get(frame, [])
+    for g, p, overlap in frames:
         gt_det += len(g)
-        overlap = iou_matrix([b for _, b in g], [b for _, b in p])
-        # evaluate rejects a repeated id in a frame; called directly, such
-        # an id stands for its last box here.
-        g_row = {i: r for r, (i, _) in enumerate(g)}
-        p_col = {i: c for c, (i, _) in enumerate(p)}
+        g_row = {i: r for r, i in enumerate(g)}
+        p_col = {i: c for c, i in enumerate(p)}
 
         pairs: list[tuple[int, int, float]] = []
         for gid, pid in prev.items():
             if gid in g_row and pid in p_col:
                 s = float(overlap[g_row[gid], p_col[pid]])
-                if s >= threshold:
+                if s >= CLEAR_IOU_THRESHOLD:
                     pairs.append((gid, pid, s))
 
         taken_g = {gid for gid, _, _ in pairs}
         taken_p = {pid for _, pid, _ in pairs}
-        rest_g = [r for r, (i, _) in enumerate(g) if i not in taken_g]
-        rest_p = [c for c, (i, _) in enumerate(p) if i not in taken_p]
+        rest_g = [r for r, i in enumerate(g) if i not in taken_g]
+        rest_p = [c for c, i in enumerate(p) if i not in taken_p]
         if rest_g and rest_p:
             rest = overlap[np.ix_(rest_g, rest_p)]
-            for r, c in _match_pairs(rest, threshold):
-                pairs.append((g[rest_g[r]][0], p[rest_p[c]][0], float(rest[r, c])))
+            for r, c in _match_pairs(rest, CLEAR_IOU_THRESHOLD):
+                pairs.append((g[rest_g[r]], p[rest_p[c]], float(rest[r, c])))
 
         for gid, pid, s in pairs:
             tp += 1
@@ -202,6 +223,11 @@ def match_clear(gt: FrameBoxes, pred: FrameBoxes,
     return ClearCounts(gt_det, tp, fp, fn, idsw, similarity_sum)
 
 
+def match_clear(gt: FrameBoxes, pred: FrameBoxes) -> ClearCounts:
+    """Per-frame CLEAR matching with persistence and switch counting."""
+    return _clear(_pair_frames(gt, pred))
+
+
 def mota(counts: ClearCounts) -> float:
     if counts.gt_det == 0:
         raise UndefinedMetricError("MOTA undefined without ground-truth detections")
@@ -214,31 +240,23 @@ def motp(counts: ClearCounts) -> float:
     return counts.similarity_sum / counts.tp
 
 
-def identity_counts(gt: FrameBoxes, pred: FrameBoxes,
-                    threshold: float = IDENTITY_IOU_THRESHOLD) -> IdentityCounts:
+def _identity(frames: list[_PairedFrame]) -> IdentityCounts:
     """Trajectory-level matching maximizing total per-frame matches."""
-    # evaluate rejects a repeated id in a frame; called directly, such an
-    # id stands for its last box here.
-    gt_boxes = {f: dict(items) for f, items in gt.items()}
-    pred_boxes = {f: dict(items) for f, items in pred.items()}
-    gt_total = sum(len(b) for b in gt_boxes.values())
-    pred_total = sum(len(b) for b in pred_boxes.values())
-    gt_row = {i: r for r, i in enumerate(sorted({i for b in gt_boxes.values() for i in b}))}
-    pred_col = {i: c for c, i in enumerate(sorted({i for b in pred_boxes.values() for i in b}))}
+    gt_row = {i: r for r, i in enumerate(sorted({i for g, _, _ in frames for i in g}))}
+    pred_col = {i: c for c, i in enumerate(sorted({i for _, p, _ in frames for i in p}))}
     # matches[r, c]: frames where gt trajectory r and predicted trajectory c
-    # overlap at IoU >= threshold.
+    # overlap at IoU >= the identity threshold.
     matches = np.zeros((len(gt_row), len(pred_col)))
-    for frame in gt_boxes.keys() & pred_boxes.keys():
-        g, p = gt_boxes[frame], pred_boxes[frame]
-        hit_g, hit_p = np.nonzero(iou_matrix(list(g.values()), list(p.values())) >= threshold)
-        rows = np.array([gt_row[i] for i in g], dtype=int)
-        cols = np.array([pred_col[i] for i in p], dtype=int)
-        matches[rows[hit_g], cols[hit_p]] += 1
+    for g, p, overlap in frames:
+        hit_g, hit_p = np.nonzero(overlap >= IDENTITY_IOU_THRESHOLD)
+        matches[[gt_row[g[r]] for r in hit_g], [pred_col[p[c]] for c in hit_p]] += 1
     # Minimizing the negated match counts maximizes IDTP; pairing a
     # trajectory with a zero-match partner is equivalent to leaving it
     # unpaired, so no dummy padding is needed.
     idtp = int(sum(matches[r, c] for r, c in solve(-matches).matches))
-    return IdentityCounts(idtp=idtp, idfp=pred_total - idtp, idfn=gt_total - idtp)
+    return IdentityCounts(idtp=idtp,
+                          idfp=sum(len(p) for _, p, _ in frames) - idtp,
+                          idfn=sum(len(g) for g, _, _ in frames) - idtp)
 
 
 def identity_f1(counts: IdentityCounts) -> float:
@@ -246,43 +264,38 @@ def identity_f1(counts: IdentityCounts) -> float:
     return counts.idtp / denom if denom > 0 else 0.0
 
 
-def idf1(gt: FrameBoxes, pred: FrameBoxes,
-         threshold: float = IDENTITY_IOU_THRESHOLD) -> tuple[float, IdentityCounts]:
-    counts = identity_counts(gt, pred, threshold)
+def idf1(gt: FrameBoxes, pred: FrameBoxes) -> tuple[float, IdentityCounts]:
+    counts = _identity(_pair_frames(gt, pred))
     return identity_f1(counts), counts
 
 
-def hota_accumulate(gt: FrameBoxes, pred: FrameBoxes,
-                    alphas: tuple[float, ...] = HOTA_ALPHAS) -> HotaAccumulator:
-    n = len(alphas)
+def _hota(frames: list[_PairedFrame]) -> HotaAccumulator:
+    n = len(HOTA_ALPHAS)
     tp = np.zeros(n)
     fn = np.zeros(n)
     fp = np.zeros(n)
-    gt_len = Counter(i for items in gt.values() for i, _ in items)
-    pred_len = Counter(i for items in pred.values() for i, _ in items)
+    gt_len = Counter(i for g, _, _ in frames for i in g)
+    pred_len = Counter(i for _, p, _ in frames for i in p)
     pair_counts: list[Counter] = [Counter() for _ in range(n)]
 
-    for frame in sorted(set(gt) | set(pred)):
-        g = gt.get(frame, [])
-        p = pred.get(frame, [])
-        overlap = iou_matrix([b for _, b in g], [b for _, b in p])
-        for a in range(n):
-            matched = _match_pairs(overlap, alphas[a])
+    for g, p, overlap in frames:
+        for a, alpha in enumerate(HOTA_ALPHAS):
+            matched = _match_pairs(overlap, alpha)
             tp[a] += len(matched)
             fn[a] += len(g) - len(matched)
             fp[a] += len(p) - len(matched)
             for r, c in matched:
-                pair_counts[a][(g[r][0], p[c][0])] += 1
+                pair_counts[a][(g[r], p[c])] += 1
 
     ass_sum = np.zeros(n)
     for a in range(n):
         for (gid, pid), count in pair_counts[a].items():
             ass_sum[a] += count * (count / (gt_len[gid] + pred_len[pid] - count))
-    return HotaAccumulator(alphas, tp, fn, fp, ass_sum)
+    return HotaAccumulator(HOTA_ALPHAS, tp, fn, fp, ass_sum)
 
 
 def hota(gt: FrameBoxes, pred: FrameBoxes) -> tuple[float, HotaAccumulator]:
-    acc = hota_accumulate(gt, pred)
+    acc = _hota(_pair_frames(gt, pred))
     return acc.score(), acc
 
 
@@ -306,37 +319,22 @@ def evaluate(gt: FrameBoxes, pred: FrameBoxes) -> MetricsReport:
     return evaluate_sequences([(gt, pred)])
 
 
-def _require_unique_ids(frames: FrameBoxes, side: str) -> None:
-    for frame, items in frames.items():
-        seen = set()
-        for i, _ in items:
-            if i in seen:
-                raise ValueError(f"{side}: frame {frame} repeats id {i}")
-            seen.add(i)
-
-
 def evaluate_sequences(
     pairs: Sequence[tuple[FrameBoxes, FrameBoxes]]
 ) -> MetricsReport:
     """Score several sequences by pooling raw counts, not averaging scores.
 
-    Raises ValueError when a frame of either side repeats an id, which the
-    CLEAR, identity and HOTA counts would otherwise read differently.
+    Each sequence's frames are paired once and the CLEAR, identity and
+    HOTA counts all read that pairing.  Raises ValueError when a frame of
+    either side repeats an id, as every scoring entry point does.
     """
     if not pairs:
         raise UndefinedMetricError("no sequences to evaluate")
-    clear = None
-    identity = None
-    acc = None
+    counts = []
     for gt, pred in pairs:
-        _require_unique_ids(gt, "ground truth")
-        _require_unique_ids(pred, "prediction")
-        c = match_clear(gt, pred)
-        _, ic = idf1(gt, pred)
-        _, a = hota(gt, pred)
-        clear = c if clear is None else clear + c
-        identity = ic if identity is None else identity + ic
-        acc = a if acc is None else acc + a
+        frames = _pair_frames(gt, pred)
+        counts.append((_clear(frames), _identity(frames), _hota(frames)))
+    clear, identity, acc = (reduce(add, column) for column in zip(*counts))
     return _report_from(clear, identity, acc)
 
 

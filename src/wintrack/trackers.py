@@ -177,9 +177,9 @@ def direction_costs(headings: np.ndarray, displacements: np.ndarray) -> np.ndarr
 class _TrackerBase:
     """Shared stepping lifecycle; subclasses provide the association stage."""
 
-    def __init__(self, config: TrackerConfig, motion_filter: Optional[MotionFilter] = None):
+    def __init__(self, config: TrackerConfig):
         self.config = config
-        self._filter = motion_filter if motion_filter is not None else MotionFilter()
+        self._filter = MotionFilter()
         self._tracks: list[Tracklet] = []
         self._next_id = 1
         self._last_frame = 0
@@ -422,10 +422,8 @@ _TRACKER_CLASSES = {
 }
 
 
-def make_tracker(
-    config: TrackerConfig, motion_filter: Optional[MotionFilter] = None
-) -> _TrackerBase:
-    return _TRACKER_CLASSES[config.kind](config, motion_filter)
+def make_tracker(config: TrackerConfig) -> _TrackerBase:
+    return _TRACKER_CLASSES[config.kind](config)
 
 
 def run_tracker(

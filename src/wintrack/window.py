@@ -8,7 +8,9 @@ over only the cleanest boxes.  Level-2 ids are then taken as reference:
 each buffered frame's level-1 boxes are matched to the window's level-2
 boxes by IoU-distance assignment, admitting only pairs that overlap, and
 relabeled with the matching level-2 id.  Level-1 boxes that match no
-level-2 box keep a deterministic fresh id from a disjoint namespace.
+level-2 box get a deterministic fresh id, UNMATCHED_ID_OFFSET plus their
+level-1 id; it cannot equal a level-2 id while level 2 has issued fewer
+than UNMATCHED_ID_OFFSET ids.
 
 Because level 2 steps once per window, a track it can hold for n of its own
 steps survives k*n source frames, which is what lets the corrected stream
@@ -28,7 +30,8 @@ from .geometry import iou_matrix
 from .trackers import Detection, TrackedDetection, _TrackerBase
 
 # Level-1 ids with no level-2 match are remapped to this offset plus their
-# original id, keeping the output namespace collision-free and debuggable.
+# original id, which stays readable and is apart from the level-2 ids only
+# while level 2 has issued fewer ids than the offset.
 UNMATCHED_ID_OFFSET = 1_000_000
 
 

@@ -1,10 +1,16 @@
-"""Standing id goldens: the (frame, id) column of tracker output, hashed.
+"""Standing goldens: the (frame, id) column of tracker output and the
+metric reports scored on it, hashed.
 
-Each expected digest was recorded from the package before its Kalman step
-and OC-SORT direction term were vectorized.  Those rewrites, like any
+Each id digest was recorded from the package before its Kalman step and
+OC-SORT direction term were vectorized.  Those rewrites, like any
 refactor of the tracking core, must leave every emitted id where it was;
 a mismatch here means the association or the filter arithmetic changed
 an outcome, not merely a last bit of a state.
+
+The report digest was recorded before the metrics shared one pairing of
+each sequence's frames.  It hashes every ``evaluate`` field, floats as
+hex, so a refactor of the metrics must leave each count and score
+bit-identical.
 """
 
 import hashlib
@@ -12,6 +18,7 @@ import random
 
 import pytest
 
+from wintrack.metrics import evaluate, frames_from_records, frames_from_tracked
 from wintrack.synth import (
     BUNDLED_SUITE,
     NoiseSpec,
@@ -34,6 +41,8 @@ BUNDLED_DIGESTS = {
 }
 
 DENSE_DIGEST = "1367248d3e908d38"
+
+REPORT_DIGEST = "d1138266b28899ea"
 
 
 def dense_crossing_scenario() -> Scenario:
@@ -76,6 +85,14 @@ def _run(dets, l1, l2):
     return run_windowed(wt, dets)
 
 
+def _report_line(report) -> str:
+    floats = [getattr(report, f) for f in ("mota", "motp", "idf1", "hota", "det_a", "ass_a")]
+    c, i, a = report.clear, report.identity, report.hota_acc
+    floats += [c.similarity_sum, *a.tp, *a.fn, *a.fp, *a.ass_sum]
+    ints = [c.gt_det, c.tp, c.fp, c.fn, c.idsw, i.idtp, i.idfp, i.idfn]
+    return ",".join([*map(str, ints), *(float(x).hex() for x in floats)]) + "\n"
+
+
 def _suite_digest(dets, configs) -> str:
     return hashlib.sha256(
         "".join(_id_digest(_run(dets, l1, l2)) for l1, l2 in configs).encode()
@@ -96,3 +113,14 @@ def test_bundled_ids_unchanged(name):
 def test_dense_crossing_ids_unchanged():
     _, dets = generate(dense_crossing_scenario())
     assert _suite_digest(dets, [("ocsort", "bytetrack")]) == DENSE_DIGEST
+
+
+def test_bundled_reports_unchanged():
+    h = hashlib.sha256()
+    for name in BUNDLED_SUITE:
+        gt, dets = generate(bundled_scenario(name))
+        gt_frames = frames_from_records(gt.evaluable())
+        for l1, l2 in SOLO_AND_PAIRS:
+            report = evaluate(gt_frames, frames_from_tracked(_run(dets, l1, l2)))
+            h.update(_report_line(report).encode())
+    assert h.hexdigest()[:16] == REPORT_DIGEST

@@ -4,13 +4,16 @@ import random
 import numpy as np
 import pytest
 
+import wintrack.metrics
 from oracles import idf1_bruteforce
-from wintrack.geometry import BoundingBox
+from wintrack.geometry import BoundingBox, iou_matrix
 from wintrack.metrics import (
     HOTA_ALPHAS,
     UndefinedMetricError,
     evaluate,
     evaluate_sequences,
+    frames_from_records,
+    frames_from_tracked,
     hota,
     idf1,
     match_clear,
@@ -19,6 +22,8 @@ from wintrack.metrics import (
     report_csv,
     report_table,
 )
+from wintrack.synth import bundled_scenario, generate
+from wintrack.trackers import TrackerConfig, make_tracker, run_tracker
 
 
 def box(cx, cy, w=10.0, h=10.0):
@@ -35,6 +40,15 @@ def split_id_case():
     gt = single_track(range(1, 11))
     pred = {f: [(101 if f <= 5 else 102, box(50.0, 50.0))] for f in range(1, 11)}
     return gt, pred
+
+
+def second_of_two_sequences(gt, pred):
+    return evaluate_sequences([(pred, pred), (gt, pred)])
+
+
+# Every public entry point that scores (gt, pred) frames.
+ENTRY_POINTS = [evaluate, match_clear, idf1, hota]
+ENTRY_IDS = ["evaluate", "match_clear", "idf1", "hota"]
 
 
 class TestClear:
@@ -194,19 +208,38 @@ class TestEvaluate:
             assert report.idf1 == pytest.approx(i.idtp / denom if denom else 0.0,
                                                 abs=1e-12)
 
-    def test_repeated_predicted_id_in_a_frame_rejected(self):
-        # CLEAR and HOTA would count both rows and the identity counts one
+    @pytest.mark.parametrize("score", ENTRY_POINTS, ids=ENTRY_IDS)
+    def test_repeated_predicted_id_in_a_frame_rejected(self, score):
+        # read row by row, CLEAR and HOTA would count both rows and a map
+        # from id to box would keep one
         a = box(50.0, 50.0)
         gt = {1: [(1, a)], 2: [(1, a)]}
         pred = {1: [(7, a), (7, a)], 2: [(7, a)]}
         with pytest.raises(ValueError, match=r"prediction.* frame 1 .*id 7"):
-            evaluate(gt, pred)
+            score(gt, pred)
 
-    def test_repeated_ground_truth_id_rejected_in_any_sequence(self):
+    @pytest.mark.parametrize("score", ENTRY_POINTS + [second_of_two_sequences],
+                             ids=ENTRY_IDS + ["evaluate_sequences"])
+    def test_repeated_ground_truth_id_rejected_in_any_sequence(self, score):
         gt = single_track(range(1, 4))
         bad = {1: [(1, box(50.0, 50.0))], 3: [(2, box(0, 0)), (2, box(20, 20))]}
         with pytest.raises(ValueError, match=r"ground truth.* frame 3 .*id 2"):
-            evaluate_sequences([(gt, gt), (bad, gt)])
+            score(bad, gt)
+
+    def test_one_iou_matrix_per_frame(self, monkeypatch):
+        gt, dets = generate(bundled_scenario("crossing"))
+        gt_frames = frames_from_records(gt.evaluable())
+        pred = frames_from_tracked(
+            run_tracker(make_tracker(TrackerConfig(kind="sort")), dets))
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return iou_matrix(a, b)
+
+        monkeypatch.setattr(wintrack.metrics, "iou_matrix", counted)
+        evaluate(gt_frames, pred)
+        assert len(calls) == len(gt_frames.keys() | pred.keys())
 
     def test_idtp_bounded_by_clear_tp(self):
         rng = random.Random(6)

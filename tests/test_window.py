@@ -172,6 +172,18 @@ class TestCorrection:
         assert ids_by_cx[100.0] == {1}  # level-2 id namespace starts at 1
         assert ids_by_cx[300.0] == {UNMATCHED_ID_OFFSET + 2}
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "fresh ids are UNMATCHED_ID_OFFSET + level-1 id and can equal a "
+        "level-2 id once level 2 has issued 1,000,000 ids; ROADMAP item 4"))
+    def test_fresh_id_never_equals_a_level2_id(self):
+        l1 = make_tracker(TrackerConfig(kind="sort", min_hits=1))
+        l2 = make_tracker(TrackerConfig(kind="bytetrack", min_hits=1))
+        l2._next_id = UNMATCHED_ID_OFFSET + 1
+        wt = WindowedTracker(l1, l2, 1)
+        out = wt.push_frame(1, [det(1, 100, 100, conf=0.3),
+                                det(1, 300, 100, conf=0.9)])
+        assert len({td.track_id for td in out}) == len(out) == 2
+
     def test_content_preserved_only_ids_change(self):
         for seed in (11, 12):
             gt, dets = generate(random_scenario(seed))
