@@ -8,7 +8,7 @@ engine (MOTA, MOTP, IDF1, HOTA), MOTChallenge file I/O, a synthetic
 scenario generator, and a CLI (``wintrack``).
 """
 
-from .assignment import AssignmentResult, solve, solve_bruteforce
+from .assignment import AssignmentResult, solve
 from .geometry import BoundingBox, iou, iou_distance_matrix
 from .kalman import DegenerateStateError, KalmanState, MotionFilter, state_to_box
 from .metrics import (
@@ -94,7 +94,6 @@ __all__ = [
     "run_windowed",
     "select_best",
     "solve",
-    "solve_bruteforce",
     "state_to_box",
     "write_results",
 ]

@@ -4,21 +4,16 @@ All solvers implement the same contract: among all one-to-one partial
 assignments of maximum cardinality restricted to admissible pairs, return
 one of minimum total cost.  ``solve_admissible`` takes the admissible pairs
 as a boolean mask and delegates to scipy's Jonker-Volgenant-style solver;
-``solve`` admits the pairs whose cost does not exceed a gate and calls it;
-``solve_bruteforce`` enumerates and exists as an independent oracle for
-small matrices.
+``solve`` admits the pairs whose cost does not exceed a gate and calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-BRUTEFORCE_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -88,37 +83,3 @@ def solve_admissible(cost, admissible) -> AssignmentResult:
     rows, cols = linear_sum_assignment(padded)
     pairs = [(int(r), int(c)) for r, c in zip(rows, cols) if allowed[r, c]]
     return _result(m, pairs)
-
-
-def solve_bruteforce(cost, gate: Optional[float] = None) -> AssignmentResult:
-    """Exhaustive-enumeration oracle with the same contract as ``solve``.
-
-    Rejects matrices with either dimension above BRUTEFORCE_MAX_DIM.
-    """
-    m = _as_cost_matrix(cost)
-    n_rows, n_cols = m.shape
-    if max(n_rows, n_cols) > BRUTEFORCE_MAX_DIM:
-        raise ValueError(
-            f"matrix {n_rows}x{n_cols} exceeds enumeration bound {BRUTEFORCE_MAX_DIM}"
-        )
-    if n_rows == 0 or n_cols == 0:
-        return _result(m, [])
-
-    allowed = np.ones_like(m, dtype=bool) if gate is None else m <= gate
-    for k in range(min(n_rows, n_cols), 0, -1):
-        best_pairs = None
-        best_cost = None
-        for row_subset in combinations(range(n_rows), k):
-            for col_perm in permutations(range(n_cols), k):
-                pairs = list(zip(row_subset, col_perm))
-                if not all(allowed[r, c] for r, c in pairs):
-                    continue
-                total = 0.0
-                for r, c in sorted(pairs):
-                    total += float(m[r, c])
-                if best_cost is None or total < best_cost:
-                    best_cost = total
-                    best_pairs = pairs
-        if best_pairs is not None:
-            return _result(m, best_pairs)
-    return _result(m, [])

@@ -26,12 +26,14 @@ multi-sequence aggregation pools raw counts (never averages of scores):
   every true positive c with ids (g, p) scores
   A(c) = TPA / (TPA + FNA + FPA), where TPA counts frames g matched p.
   HOTA_alpha = sqrt(DetA_alpha * AssA_alpha), and the final score averages
-  HOTA_alpha over the grid.
+  HOTA_alpha over the grid.  Each frame thresholds its IoU matrix at all
+  alphas at once; where an alpha's admissible pairs share no row and no
+  column they already are its one maximum matching, so the solver runs
+  only at the alphas where they are not.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -269,29 +271,55 @@ def idf1(gt: FrameBoxes, pred: FrameBoxes) -> tuple[float, IdentityCounts]:
     return identity_f1(counts), counts
 
 
+def _crowded(mask: np.ndarray) -> np.ndarray:
+    """Whether some row or some column of each (..., G, P) slice holds two
+    admissible pairs."""
+    return (mask.sum(axis=-1).max(axis=-1) > 1) | (mask.sum(axis=-2).max(axis=-1) > 1)
+
+
 def _hota(frames: list[_PairedFrame]) -> HotaAccumulator:
     n = len(HOTA_ALPHAS)
-    tp = np.zeros(n)
-    fn = np.zeros(n)
-    fp = np.zeros(n)
-    gt_len = Counter(i for g, _, _ in frames for i in g)
-    pred_len = Counter(i for _, p, _ in frames for i in p)
-    pair_counts: list[Counter] = [Counter() for _ in range(n)]
-
+    thresholds = np.asarray(HOTA_ALPHAS)[:, None, None]
+    gt_rows: list[int] = []
+    pred_rows: list[int] = []
+    # (alpha index, gt row, pred row) of every matched pair, frame by frame;
+    # rows index gt_rows / pred_rows.
+    hits = [(np.empty(0, np.intp),) * 3]
     for g, p, overlap in frames:
-        for a, alpha in enumerate(HOTA_ALPHAS):
-            matched = _match_pairs(overlap, alpha)
-            tp[a] += len(matched)
-            fn[a] += len(g) - len(matched)
-            fp[a] += len(p) - len(matched)
-            for r, c in matched:
-                pair_counts[a][(g[r], p[c])] += 1
+        if overlap.size:
+            stack = overlap >= thresholds
+            # Where an alpha's admissible pairs share no row and no column
+            # they are its one maximum matching; elsewhere the solver picks.
+            # Each alpha admits a subset of the pairs the alpha below it
+            # admits, so most frames need only the lowest alpha checked.
+            if _crowded(stack[0]):
+                for a in np.flatnonzero(_crowded(stack)):
+                    rows, cols = np.array(_match_pairs(overlap, HOTA_ALPHAS[a])).T
+                    stack[a] = False
+                    stack[a, rows, cols] = True
+            a, r, c = np.nonzero(stack)
+            hits.append((a, r + len(gt_rows), c + len(pred_rows)))
+        gt_rows += g
+        pred_rows += p
+    alpha, gt_row, pred_row = (np.concatenate(column) for column in zip(*hits))
+    tp = np.bincount(alpha, minlength=n).astype(float)
 
+    _, gt_index, gt_len = np.unique(gt_rows, return_inverse=True, return_counts=True)
+    _, pred_index, pred_len = np.unique(pred_rows, return_inverse=True, return_counts=True)
+    gi = gt_index[gt_row]
+    pi = pred_index[pred_row]
+    # One term per (alpha, gt id, pred id).  np.add.at adds them one at a
+    # time in the order each pair was first matched, as running counts
+    # would, so every last bit holds; np.sum would add them pairwise.
+    key = (alpha * len(gt_len) + gi) * len(pred_len) + pi
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first, count = first[order], count[order]
+    terms = count * (count / (gt_len[gi[first]] + pred_len[pi[first]] - count))
     ass_sum = np.zeros(n)
-    for a in range(n):
-        for (gid, pid), count in pair_counts[a].items():
-            ass_sum[a] += count * (count / (gt_len[gid] + pred_len[pid] - count))
-    return HotaAccumulator(HOTA_ALPHAS, tp, fn, fp, ass_sum)
+    np.add.at(ass_sum, alpha[first], terms)
+    return HotaAccumulator(HOTA_ALPHAS, tp, len(gt_rows) - tp, len(pred_rows) - tp,
+                           ass_sum)
 
 
 def hota(gt: FrameBoxes, pred: FrameBoxes) -> tuple[float, HotaAccumulator]:

@@ -2,17 +2,25 @@
 
 Everything here is deliberately dumb: counting grids, hand-expanded 2x2
 matrix algebra, exhaustive enumeration.  None of it shares code with the
-implementations under test.
+implementations under test, except ``hota_per_alpha``: it keeps the
+package's solver, itself checked against ``solve_bruteforce``, and runs it
+at every alpha of every frame, so it checks what HOTA skips around it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
+from typing import Optional
 
 import numpy as np
 
+from wintrack.assignment import AssignmentResult, solve_admissible
 from wintrack.geometry import BoundingBox
+from wintrack.metrics import HOTA_ALPHAS
+
+BRUTEFORCE_MAX_DIM = 8
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 2 ** 17) -> float:
@@ -158,3 +166,86 @@ def idf1_bruteforce(gt_frames, pred_frames, threshold: float = 0.5):
     denom = idtp + 0.5 * (idfn + idfp)
     score = idtp / denom if denom > 0 else 0.0
     return score, idtp, idfp, idfn
+
+
+def solve_bruteforce(cost, gate: Optional[float] = None) -> AssignmentResult:
+    """Exhaustive-enumeration oracle with the contract of ``assignment.solve``:
+    among the one-to-one assignments of maximum cardinality over pairs with
+    cost <= gate (every pair with no gate), one of minimum total cost.
+
+    Totals are summed over row-sorted pairs.  Rejects matrices with either
+    dimension above BRUTEFORCE_MAX_DIM.
+    """
+    m = np.asarray(cost, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"cost matrix must be 2-D, got shape {m.shape}")
+    n_rows, n_cols = m.shape
+    if max(n_rows, n_cols) > BRUTEFORCE_MAX_DIM:
+        raise ValueError(
+            f"matrix {n_rows}x{n_cols} exceeds enumeration bound {BRUTEFORCE_MAX_DIM}"
+        )
+
+    def result(pairs) -> AssignmentResult:
+        pairs = sorted(pairs)
+        rows = {r for r, _ in pairs}
+        cols = {c for _, c in pairs}
+        total = 0.0
+        for r, c in pairs:
+            total += float(m[r, c])
+        return AssignmentResult(
+            matches=tuple(pairs),
+            unmatched_rows=tuple(r for r in range(n_rows) if r not in rows),
+            unmatched_cols=tuple(c for c in range(n_cols) if c not in cols),
+            total_cost=total,
+        )
+
+    allowed = np.ones_like(m, dtype=bool) if gate is None else m <= gate
+    for k in range(min(n_rows, n_cols), 0, -1):
+        best_pairs = None
+        best_cost = None
+        for row_subset in combinations(range(n_rows), k):
+            for col_perm in permutations(range(n_cols), k):
+                pairs = list(zip(row_subset, col_perm))
+                if not all(allowed[r, c] for r, c in pairs):
+                    continue
+                total = 0.0
+                for r, c in sorted(pairs):
+                    total += float(m[r, c])
+                if best_cost is None or total < best_cost:
+                    best_cost = total
+                    best_pairs = pairs
+        if best_pairs is not None:
+            return result(best_pairs)
+    return result([])
+
+
+def hota_per_alpha(frames):
+    """HOTA's per-alpha counts as the package computed them before it read
+    forced alphas off one mask stack: the solver at every alpha of every
+    frame, and one running pair count per alpha.
+
+    ``frames`` is the package's pairing, (gt ids, pred ids, IoU matrix) per
+    frame.  Returns (tp, fn, fp, ass_sum), each one float per alpha.
+    """
+    n = len(HOTA_ALPHAS)
+    tp = np.zeros(n)
+    fn = np.zeros(n)
+    fp = np.zeros(n)
+    gt_len = Counter(i for g, _, _ in frames for i in g)
+    pred_len = Counter(i for _, p, _ in frames for i in p)
+    pair_counts: list[Counter] = [Counter() for _ in range(n)]
+
+    for g, p, overlap in frames:
+        for a, alpha in enumerate(HOTA_ALPHAS):
+            matched = list(solve_admissible(1.0 - overlap, overlap >= alpha).matches)
+            tp[a] += len(matched)
+            fn[a] += len(g) - len(matched)
+            fp[a] += len(p) - len(matched)
+            for r, c in matched:
+                pair_counts[a][(g[r], p[c])] += 1
+
+    ass_sum = np.zeros(n)
+    for a in range(n):
+        for (gid, pid), count in pair_counts[a].items():
+            ass_sum[a] += count * (count / (gt_len[gid] + pred_len[pid] - count))
+    return tp, fn, fp, ass_sum

@@ -13,8 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import ScalarKalman, grid_iou, idf1_bruteforce
-from wintrack.assignment import solve, solve_bruteforce
+from oracles import ScalarKalman, grid_iou, idf1_bruteforce, solve_bruteforce
+from wintrack.assignment import solve
 from wintrack.cli import main
 from wintrack.geometry import BoundingBox, iou
 from wintrack.kalman import KalmanState, MotionFilter

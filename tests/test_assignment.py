@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from wintrack.assignment import solve, solve_admissible, solve_bruteforce
+from oracles import solve_bruteforce
+from wintrack.assignment import solve, solve_admissible
 
 
 def random_matrix(rng: random.Random):

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 import wintrack.metrics
-from oracles import idf1_bruteforce
+from conftest import random_scenario
+from oracles import hota_per_alpha, idf1_bruteforce
+from test_golden import dense_crossing_scenario
 from wintrack.geometry import BoundingBox, iou_matrix
 from wintrack.metrics import (
     HOTA_ALPHAS,
     UndefinedMetricError,
+    _pair_frames,
     evaluate,
     evaluate_sequences,
     frames_from_records,
@@ -23,7 +26,8 @@ from wintrack.metrics import (
     report_table,
 )
 from wintrack.synth import bundled_scenario, generate
-from wintrack.trackers import TrackerConfig, make_tracker, run_tracker
+from wintrack.trackers import TRACKER_KINDS, TrackerConfig, make_tracker, run_tracker
+from wintrack.window import WindowedTracker, run_windowed
 
 
 def box(cx, cy, w=10.0, h=10.0):
@@ -170,6 +174,126 @@ class TestHota:
     def test_alpha_grid(self):
         assert len(HOTA_ALPHAS) == 19
         assert HOTA_ALPHAS[0] == 0.05 and HOTA_ALPHAS[-1] == 0.95
+
+
+def contended_gt_frame():
+    """One gt box overlapped by two predictions, at IoU 48.5/151.5 = 0.3201
+    (id 7) and 76.5/123.5 = 0.6194 (id 8): 10x10 boxes shifted 5.15 px
+    right and 2.35 px left of it."""
+    gt = {1: [(1, BoundingBox(0.0, 0.0, 10.0, 10.0))]}
+    pred = {1: [(7, BoundingBox(5.15, 0.0, 10.0, 10.0)),
+                (8, BoundingBox(-2.35, 0.0, 10.0, 10.0))]}
+    return gt, pred
+
+
+def crossed_two_by_two():
+    """Frame 1: gt 1 overlaps pred 11 at IoU 9/11 = 0.818 and pred 12 at
+    4.5/15.5 = 0.290; gt 2 overlaps pred 11 at 6/14 = 0.429 and misses
+    pred 12.  Frame 2 repeats gt 1 and pred 11 alone."""
+    g1, g2 = BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(5.0, 0.0, 10.0, 10.0)
+    p11, p12 = BoundingBox(1.0, 0.0, 10.0, 10.0), BoundingBox(-5.5, 0.0, 10.0, 10.0)
+    gt = {1: [(1, g1), (2, g2)], 2: [(1, g1)]}
+    pred = {1: [(11, p11), (12, p12)], 2: [(11, p11)]}
+    return gt, pred
+
+
+def count_solver_calls(monkeypatch) -> list:
+    calls = []
+    match = wintrack.metrics._match_pairs
+
+    def counted(overlap, threshold):
+        calls.append(threshold)
+        return match(overlap, threshold)
+
+    monkeypatch.setattr(wintrack.metrics, "_match_pairs", counted)
+    return calls
+
+
+class TestHotaContended:
+    """Frames where some alphas admit pairs that share a row or a column,
+    with per-alpha counts derived by hand.  No IoU lies on the alpha grid."""
+
+    def test_one_gt_two_predictions(self):
+        _, acc = hota(*contended_gt_frame())
+        # 0.05-0.30: both admitted, one matched; 0.35-0.60: only id 8
+        # admitted; 0.65-0.95: none.
+        assert acc.tp.tolist() == [1] * 12 + [0] * 7
+        assert acc.fn.tolist() == [0] * 12 + [1] * 7
+        assert acc.fp.tolist() == [1] * 12 + [2] * 7
+        assert acc.ass_sum.tolist() == acc.tp.tolist()
+
+    def test_maximum_matching_beats_the_best_pair(self):
+        _, acc = hota(*crossed_two_by_two())
+        # 0.05-0.25: frame 1 matches (1, 12) and (2, 11), where taking the
+        # 0.818 pair first would match one; frame 2 matches (1, 11).
+        # Lengths: gt 1 and pred 11 two frames each, gt 2 and pred 12 one.
+        # A(1, 12) = 1/2, A(2, 11) = 1/2, A(1, 11) = 1/3.
+        # 0.30-0.40: gt 1 and gt 2 contend for pred 11; the higher IoU wins,
+        # so (1, 11) holds in both frames: A = 2 * 2/2.
+        # 0.45-0.80: (1, 11) only.  0.85-0.95: nothing.
+        assert acc.tp.tolist() == [3] * 5 + [2] * 3 + [2] * 8 + [0] * 3
+        assert acc.fn.tolist() == [0] * 5 + [1] * 3 + [1] * 8 + [3] * 3
+        assert acc.fp.tolist() == [0] * 5 + [1] * 3 + [1] * 8 + [3] * 3
+        assert acc.ass_sum.tolist() == pytest.approx(
+            [0.5 + 0.5 + 1 / 3] * 5 + [2.0] * 11 + [0.0] * 3, abs=1e-15)
+
+
+class TestHotaSolverCalls:
+    """The solver runs only at alphas whose admissible pairs share a row or
+    a column; elsewhere those pairs are the one maximum matching."""
+
+    def test_apart_targets_never_call_the_solver(self, monkeypatch):
+        calls = count_solver_calls(monkeypatch)
+        gt = {f: [(1, box(50.0, 50.0)), (2, box(80.0, 50.0))] for f in range(1, 6)}
+        pred = {f: [(5, box(51.0, 50.0)), (6, box(80.0, 52.0)), (9, box(300.0, 50.0))]
+                for f in range(1, 6)}
+        score, _ = hota(gt, pred)
+        assert calls == []
+        assert score > 0.5
+
+    def test_contended_frame_calls_the_solver_at_its_six_low_alphas(self, monkeypatch):
+        calls = count_solver_calls(monkeypatch)
+        hota(*contended_gt_frame())
+        assert calls == list(HOTA_ALPHAS[:6])
+
+    def test_two_by_two_calls_the_solver_in_its_crowded_frame_only(self, monkeypatch):
+        calls = count_solver_calls(monkeypatch)
+        hota(*crossed_two_by_two())
+        assert calls == list(HOTA_ALPHAS[:8])
+
+
+def assert_hota_equals_oracle(gt, pred):
+    _, acc = hota(gt, pred)
+    expected = hota_per_alpha(_pair_frames(gt, pred))
+    for got, want in zip((acc.tp, acc.fn, acc.fp, acc.ass_sum), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+class TestHotaOracle:
+    """tp, fn, fp and ass_sum equal, bit for bit, the solver run at every
+    alpha of every frame with running pair counts."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_scenarios_solo_and_windowed(self, seed):
+        gt, dets = generate(random_scenario(seed))
+        gt_frames = frames_from_records(gt.evaluable())
+        for kind in TRACKER_KINDS:
+            solo = run_tracker(make_tracker(TrackerConfig(kind=kind)), dets)
+            windowed = run_windowed(WindowedTracker(
+                make_tracker(TrackerConfig(kind=kind)),
+                make_tracker(TrackerConfig(kind="bytetrack")), 3), dets)
+            for out in (solo, windowed):
+                assert_hota_equals_oracle(gt_frames, frames_from_tracked(out))
+
+    def test_dense_crossing_windowed(self, monkeypatch):
+        gt, dets = generate(dense_crossing_scenario())
+        out = run_windowed(WindowedTracker(
+            make_tracker(TrackerConfig(kind="ocsort")),
+            make_tracker(TrackerConfig(kind="bytetrack")), 3), dets)
+        calls = count_solver_calls(monkeypatch)
+        assert_hota_equals_oracle(frames_from_records(gt.evaluable()),
+                                  frames_from_tracked(out))
+        assert len(calls) > 100  # many crowded alphas are exercised
 
 
 class TestEvaluate:

@@ -63,7 +63,7 @@ class TestAssociateIou:
         assert result.unmatched_cols == (0,)
 
     def test_equals_gated_bruteforce_optimum(self, rng):
-        from wintrack.assignment import solve_bruteforce
+        from oracles import solve_bruteforce
         from wintrack.geometry import iou_distance_matrix
 
         from conftest import random_box
