@@ -3,8 +3,10 @@
 All solvers implement the same contract: among all one-to-one partial
 assignments of maximum cardinality restricted to admissible pairs, return
 one of minimum total cost.  ``solve_admissible`` takes the admissible pairs
-as a boolean mask and delegates to scipy's Jonker-Volgenant-style solver;
-``solve`` admits the pairs whose cost does not exceed a gate and calls it.
+as a boolean mask and delegates to scipy's Jonker-Volgenant-style solver,
+unless no two admissible pairs share a row or a column: those pairs are
+then the one maximum matching and are returned as they are.  ``solve``
+admits the pairs whose cost does not exceed a gate and calls it.
 """
 
 from __future__ import annotations
@@ -35,20 +37,26 @@ def _as_cost_matrix(cost) -> np.ndarray:
     return m
 
 
-def _result(cost: np.ndarray, pairs: list[tuple[int, int]]) -> AssignmentResult:
-    pairs = sorted(pairs)
-    matched_rows = {r for r, _ in pairs}
-    matched_cols = {c for _, c in pairs}
+def _result(cost: np.ndarray, rows: list[int], cols: list[int]) -> AssignmentResult:
+    """The result of matching rows[i] to cols[i]; rows ascend."""
+    matched_rows = set(rows)
+    matched_cols = set(cols)
     # Summation order is fixed (row-sorted) so equal match sets give equal totals.
     total = 0.0
-    for r, c in pairs:
-        total += float(cost[r, c])
+    for value in cost[rows, cols].tolist():
+        total += value
     return AssignmentResult(
-        matches=tuple(pairs),
+        matches=tuple(zip(rows, cols)),
         unmatched_rows=tuple(r for r in range(cost.shape[0]) if r not in matched_rows),
         unmatched_cols=tuple(c for c in range(cost.shape[1]) if c not in matched_cols),
         total_cost=total,
     )
+
+
+def crowded(mask: np.ndarray) -> np.ndarray:
+    """Whether some row or some column of each non-empty (..., R, C) mask
+    slice holds two admissible pairs."""
+    return (mask.sum(axis=-1).max(axis=-1) > 1) | (mask.sum(axis=-2).max(axis=-1) > 1)
 
 
 def solve(cost, gate: Optional[float] = None) -> AssignmentResult:
@@ -74,12 +82,18 @@ def solve_admissible(cost, admissible) -> AssignmentResult:
             f"admissible mask shape {allowed.shape} differs from cost shape {m.shape}"
         )
     if not allowed.any():
-        return _result(m, [])
-    # Big-M for forbidden pairs, chosen from allowed entries only so that the
-    # solver first maximizes the number of allowed pairs, then minimizes their
-    # cost.  M exceeds any achievable allowed-cost difference.
-    big = 2.0 * float(np.abs(m[allowed]).sum()) + 1.0
-    padded = np.where(allowed, m, big)
-    rows, cols = linear_sum_assignment(padded)
-    pairs = [(int(r), int(c)) for r, c in zip(rows, cols) if allowed[r, c]]
-    return _result(m, pairs)
+        return _result(m, [], [])
+    if crowded(allowed):
+        # Big-M for forbidden pairs, chosen from allowed entries only so that
+        # the solver first maximizes the number of allowed pairs, then
+        # minimizes their cost.  M exceeds any achievable allowed-cost
+        # difference.
+        big = 2.0 * float(np.abs(m[allowed]).sum()) + 1.0
+        rows, cols = linear_sum_assignment(np.where(allowed, m, big))
+        kept = allowed[rows, cols]
+        rows, cols = rows[kept], cols[kept]
+    else:
+        # Admissible pairs that share no row and no column are the one
+        # maximum matching.
+        rows, cols = np.nonzero(allowed)
+    return _result(m, rows.tolist(), cols.tolist())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -62,33 +62,40 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(iou_matrix([a], [b])[0, 0])
 
 
-def _columns(boxes: Sequence[BoundingBox]) -> np.ndarray:
+Boxes = Union[Sequence[BoundingBox], np.ndarray]
+
+
+def box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """Boxes as one (N, 4) array of (x, y, w, h) rows."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def _columns(boxes: Boxes) -> np.ndarray:
     """(x, y, w, h) as four rows of shape (4, len(boxes))."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4).T
+    if isinstance(boxes, np.ndarray):
+        return np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    return box_array(boxes).T
 
 
-def iou_matrix(rows: Sequence[BoundingBox], cols: Sequence[BoundingBox]) -> np.ndarray:
+def iou_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
     """IoU of every row box against every column box, shape (len(rows), len(cols)).
 
-    Each entry is iou(rows[i], cols[j]); swapping the arguments transposes
-    the result exactly.
+    Either side is a sequence of boxes or an (N, 4) array of (x, y, w, h)
+    rows.  Each entry is iou(rows[i], cols[j]); swapping the arguments
+    transposes the result exactly.
     """
-    a = _columns(rows)[:, :, None]
-    b = _columns(cols)[:, None, :]
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
+    ax, ay, aw, ah = _columns(rows)[:, :, None]
+    bx, by, bw, bh = _columns(cols)[:, None, :]
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
     inter = iw * ih
     union = aw * ah + bw * bh - inter
     out = np.divide(inter, union, out=np.zeros(inter.shape), where=(iw > 0) & (ih > 0))
-    out[(a == b).all(axis=0)] = 1.0
+    out[(ax == bx) & (ay == by) & (aw == bw) & (ah == bh)] = 1.0
     return out
 
 
-def iou_distance_matrix(
-    rows: Sequence[BoundingBox], cols: Sequence[BoundingBox]
-) -> np.ndarray:
+def iou_distance_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
     """Association cost matrix with entry (i, j) = 1 - iou(rows[i], cols[j]).
 
     Either side may be empty; the result then has a zero-length dimension.

@@ -5,8 +5,9 @@ width and height, and their per-frame velocities.  Carrying width and
 height directly (rather than scale/aspect) means one filter serves every
 tracker in the package.  All operations are pure: they take a state and
 return a new one.  A state may also be a stack of N states (mean (N, 8),
-covariance (N, 8, 8)); predict and update run the same arithmetic on every
-row at once, so a tracker steps all its live tracks in one call.
+covariance (N, 8, 8)); init_state, predict and update run the same
+arithmetic on every row at once, so a tracker steps all its live tracks in
+one call.
 
 Noise is scale-adaptive: standard deviations are proportional to the box
 height, with weights h/20 for measured components and h/160 for velocities
@@ -66,6 +67,12 @@ def state_to_box(state: KalmanState) -> BoundingBox:
     return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
+def _measured(measurement: Union[BoundingBox, np.ndarray]) -> np.ndarray:
+    if isinstance(measurement, BoundingBox):
+        return box_to_measurement(measurement)
+    return np.asarray(measurement, dtype=float)
+
+
 def _transposed(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
@@ -85,11 +92,16 @@ def _noise(h) -> np.ndarray:
 class MotionFilter:
     """Predict/update engine; holds no state of its own or of any track."""
 
-    def init_state(self, box: BoundingBox) -> KalmanState:
-        """State centered on the measurement with zero initial velocity."""
-        mean = np.zeros(STATE_DIM)
-        mean[:MEASUREMENT_DIM] = box_to_measurement(box)
-        return KalmanState(mean=mean, covariance=_noise(box.h))
+    def init_state(self, measurement: Union[BoundingBox, np.ndarray]) -> KalmanState:
+        """State centered on the measurement with zero initial velocity.
+
+        A BoundingBox gives one state; an (N, 4) array of (cx, cy, w, h)
+        rows gives a stack of N.
+        """
+        z = _measured(measurement)
+        mean = np.zeros(z.shape[:-1] + (STATE_DIM,))
+        mean[..., :MEASUREMENT_DIM] = z
+        return KalmanState(mean=mean, covariance=_noise(z[..., 3]))
 
     def predict(
         self, state: KalmanState, process_noise: Optional[np.ndarray] = None
@@ -122,10 +134,7 @@ class MotionFilter:
         form and re-symmetrized, so symmetry and positive semidefiniteness
         hold by construction.
         """
-        if isinstance(measurement, BoundingBox):
-            z = box_to_measurement(measurement)
-        else:
-            z = np.asarray(measurement, dtype=float)
+        z = _measured(measurement)
         if measurement_noise is None:
             r = _noise(z[..., 3])[..., :MEASUREMENT_DIM, :MEASUREMENT_DIM]
         else:

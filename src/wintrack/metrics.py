@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assignment import solve, solve_admissible
+from .assignment import crowded, solve, solve_admissible
 from .geometry import BoundingBox, iou_matrix
 from .motio import MotRecord
 from .trackers import TrackedDetection
@@ -271,12 +271,6 @@ def idf1(gt: FrameBoxes, pred: FrameBoxes) -> tuple[float, IdentityCounts]:
     return identity_f1(counts), counts
 
 
-def _crowded(mask: np.ndarray) -> np.ndarray:
-    """Whether some row or some column of each (..., G, P) slice holds two
-    admissible pairs."""
-    return (mask.sum(axis=-1).max(axis=-1) > 1) | (mask.sum(axis=-2).max(axis=-1) > 1)
-
-
 def _hota(frames: list[_PairedFrame]) -> HotaAccumulator:
     n = len(HOTA_ALPHAS)
     thresholds = np.asarray(HOTA_ALPHAS)[:, None, None]
@@ -292,8 +286,8 @@ def _hota(frames: list[_PairedFrame]) -> HotaAccumulator:
             # they are its one maximum matching; elsewhere the solver picks.
             # Each alpha admits a subset of the pairs the alpha below it
             # admits, so most frames need only the lowest alpha checked.
-            if _crowded(stack[0]):
-                for a in np.flatnonzero(_crowded(stack)):
+            if crowded(stack[0]):
+                for a in np.flatnonzero(crowded(stack)):
                     rows, cols = np.array(_match_pairs(overlap, HOTA_ALPHAS[a])).T
                     stack[a] = False
                     stack[a, rows, cols] = True

@@ -16,24 +16,28 @@ detections are associated to existing tracks:
   drifting prediction, and on recovery rebuilds the filter by replaying
   linearly interpolated virtual observations across the gap.
 
-Each step runs one Kalman predict over the stacked states of all live
-tracks and one update over all matched tracks; only OC-SORT's recovery
-replay steps the filter per track.
+A tracker holds its live tracks as one table of arrays, one row per track
+in creation order: ids, the Kalman mean and covariance now and at the
+last update, a ring of the last ocm_delta_t + 1 observed boxes, and the
+frames-since-update and hit-streak counters.  A step turns the frame's
+detections into one (N, 4) box array and one (N,) confidence array,
+predicts every row in one Kalman call, masks out rows whose predicted
+size is not positive, associates on arrays, updates all matched rows in
+one call, starts all new tracks in one call and retires rows by one
+order-keeping compaction.  Only OC-SORT's recovery replay steps the
+filter per track.  ``tracks`` gives a read-only snapshot of the table.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .assignment import AssignmentResult, solve, solve_admissible
-from .geometry import BoundingBox, iou_distance_matrix
-from .kalman import (DegenerateStateError, KalmanState, MotionFilter,
-                     box_to_measurement, state_to_box)
+from .geometry import BoundingBox, Boxes, box_array, iou_distance_matrix
+from .kalman import KalmanState, MotionFilter
 
 TRACKER_KINDS = ("sort", "bytetrack", "ocsort")
 
@@ -77,13 +81,6 @@ class TrackedDetection:
         return self.detection.confidence
 
 
-class TrackStatus(Enum):
-    TENTATIVE = "tentative"
-    ACTIVE = "active"
-    LOST = "lost"
-    REMOVED = "removed"
-
-
 @dataclass
 class TrackerConfig:
     """Tracker parameters; every constant of every tracker kind lives here.
@@ -121,40 +118,86 @@ class TrackerConfig:
             raise ValueError("ocm_delta_t must be >= 1")
 
 
+@dataclass(frozen=True)
 class Tracklet:
-    """Mutable per-track state: filter state, observation history, lifecycle.
+    """Read-only snapshot of one live track; history holds its last
+    ocm_delta_t + 1 observed boxes at most, oldest first."""
 
-    history keeps only the last history_len observations, all that the
-    association stages read.
+    id: int
+    state: KalmanState
+    history: tuple[BoundingBox, ...]
+    frames_since_update: int
+    hit_streak: int
+
+
+@dataclass
+class _TrackTable:
+    """A tracker's live tracks, one row each, in creation order.
+
+    Row order breaks assignment ties, so rows are only ever appended or
+    dropped, never reordered.  obs is a ring of the last L observed boxes,
+    oldest first; a new track's first box fills the whole ring, so obs[:, 0]
+    is always the oldest box a history of at most L entries would hold.
     """
 
-    def __init__(self, track_id: int, state: KalmanState, first: TrackedDetection,
-                 history_len: int):
-        self.id = track_id
-        self.state = state
-        self.history: deque[TrackedDetection] = deque([first], maxlen=history_len)
-        self.status = TrackStatus.TENTATIVE
-        self.frames_since_update = 0
-        self.hit_streak = 1
-        self.state_at_last_update = state
-        self.predicted_box: Optional[BoundingBox] = None
+    ids: np.ndarray        # (T,)
+    mean: np.ndarray       # (T, 8) Kalman mean and covariance
+    cov: np.ndarray        # (T, 8, 8)
+    mean_upd: np.ndarray   # (T, 8) mean and covariance at the last update
+    cov_upd: np.ndarray    # (T, 8, 8)
+    obs: np.ndarray        # (T, L, 4) observed (x, y, w, h)
+    n_obs: np.ndarray      # (T,) observations made
+    since: np.ndarray      # (T,) frames since the last update
+    streak: np.ndarray     # (T,) consecutive updated frames
 
-    @property
-    def last_box(self) -> BoundingBox:
-        return self.history[-1].detection.box
+    @classmethod
+    def new(cls, ids, state: KalmanState, boxes, history_len: int) -> "_TrackTable":
+        """Rows for new tracks, each updated once, by its (x, y, w, h) box."""
+        n = len(ids)
+        return cls(ids, state.mean, state.covariance, state.mean, state.covariance,
+                   np.repeat(boxes[:, None, :], history_len, axis=1),
+                   np.ones(n, dtype=int), np.zeros(n, dtype=int), np.ones(n, dtype=int))
+
+    def take(self, index) -> "_TrackTable":
+        return _TrackTable(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def extend(self, other: "_TrackTable") -> "_TrackTable":
+        return _TrackTable(*(np.concatenate([getattr(t, f.name) for t in (self, other)])
+                             for f in fields(self)))
 
 
-def associate_iou(
-    track_boxes: Sequence[BoundingBox],
-    detection_boxes: Sequence[BoundingBox],
-    gate: float,
-) -> AssignmentResult:
-    """Gated IoU-distance assignment of tracks (rows) to detections (cols)."""
+_NO_INDEX = np.zeros(0, dtype=np.intp)
+
+
+def _centers(boxes: np.ndarray) -> np.ndarray:
+    """(cx, cy) of (..., 4) arrays of (x, y, w, h)."""
+    return boxes[..., :2] + boxes[..., 2:] / 2.0
+
+
+def _measurements(boxes: np.ndarray) -> np.ndarray:
+    """(x, y, w, h) rows as (cx, cy, w, h) rows."""
+    return np.concatenate([_centers(boxes), boxes[:, 2:]], axis=1)
+
+
+def associate_iou(track_boxes: Boxes, detection_boxes: Boxes,
+                  gate: float) -> AssignmentResult:
+    """Gated IoU-distance assignment of tracks (rows) to detections (cols).
+
+    With no tracks or no detections nothing can match, and neither IoU nor
+    the solver is called.
+    """
+    if len(track_boxes) == 0 or len(detection_boxes) == 0:
+        return AssignmentResult((), tuple(range(len(track_boxes))),
+                                tuple(range(len(detection_boxes))), 0.0)
     return solve(iou_distance_matrix(track_boxes, detection_boxes), gate=gate)
 
 
-def _centers(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    return np.array([(b.cx, b.cy) for b in boxes])
+def _indexed(result: AssignmentResult, rows: np.ndarray, cols: np.ndarray):
+    """A result's matched rows, matched cols, unmatched rows and unmatched
+    cols, mapped through the index arrays its matrix was built from."""
+    matches = np.array(result.matches, dtype=np.intp).reshape(-1, 2)
+    return (rows[matches[:, 0]], cols[matches[:, 1]],
+            rows[list(result.unmatched_rows)], cols[list(result.unmatched_cols)])
 
 
 def direction_costs(headings: np.ndarray, displacements: np.ndarray) -> np.ndarray:
@@ -180,13 +223,22 @@ class _TrackerBase:
     def __init__(self, config: TrackerConfig):
         self.config = config
         self._filter = MotionFilter()
-        self._tracks: list[Tracklet] = []
+        self._history_len = config.ocm_delta_t + 1
+        empty = np.zeros((0, 4))
+        self._table = _TrackTable.new(_NO_INDEX, self._filter.init_state(empty), empty,
+                                      self._history_len)
         self._next_id = 1
         self._last_frame = 0
 
     @property
     def tracks(self) -> list[Tracklet]:
-        return list(self._tracks)
+        """A snapshot of the live tracks, in creation order."""
+        t, n = self._table, self._history_len
+        return [Tracklet(i, KalmanState(t.mean[r].copy(), t.cov[r].copy()),
+                         tuple(BoundingBox(*b) for b in t.obs[r, -min(k, n):].tolist()),
+                         since, streak)
+                for r, (i, k, since, streak) in enumerate(
+                    zip(*(a.tolist() for a in (t.ids, t.n_obs, t.since, t.streak))))]
 
     def step(self, frame: int, detections: Sequence[Detection]) -> list[TrackedDetection]:
         """Advance one frame; returns the frame's confirmed tracked detections.
@@ -205,100 +257,73 @@ class _TrackerBase:
                     f"detection frame {d.frame} does not match stepped frame {frame}"
                 )
         self._last_frame = frame
+        boxes = box_array([d.box for d in dets])
+        z = _measurements(boxes)
 
-        if self._tracks:
-            predicted = self._filter.predict(_stacked(self._tracks))
-            for t, state in zip(self._tracks, _rows(predicted)):
-                t.state = state
-                try:
-                    t.predicted_box = state_to_box(state)
-                except DegenerateStateError:
-                    # Invalid geometry: sit this frame out rather than emit it.
-                    t.predicted_box = None
+        t = self._table
+        if len(t.ids):
+            predicted = self._filter.predict(KalmanState(t.mean, t.cov))
+            t.mean, t.cov = predicted.mean, predicted.covariance
+        # A track whose predicted size is not positive has no box to match
+        # this frame; it sits association out rather than be emitted.
+        size = t.mean[:, 2:4]
+        pred_boxes = np.concatenate([t.mean[:, :2] - size / 2.0, size], axis=1)
+        valid = (size[:, 0] > 0) & (size[:, 1] > 0)
+        confidences = np.array([d.confidence for d in dets], dtype=float)
+        rows, cols, spawn = self._associate(pred_boxes, valid, boxes, confidences)
 
-        pairs, spawn = self._associate(dets)
+        if len(rows):
+            updated = self._updated(rows, z[cols])
+            t.mean[rows] = t.mean_upd[rows] = updated.mean
+            t.cov[rows] = t.cov_upd[rows] = updated.covariance
+            t.obs[rows, :-1] = t.obs[rows, 1:]
+            t.obs[rows, -1] = boxes[cols]
+            t.n_obs[rows] += 1
+        t.since += 1
+        t.since[rows] = 0
+        t.streak = np.where(t.since == 0, t.streak + 1, 0)
 
-        # One update for every matched track, except those whose update
-        # the tracker replays on its own.
-        direct = []
-        for t, det in pairs:
-            replayed = self._replayed_state(t, det)
-            if replayed is None:
-                direct.append((t, det))
-            else:
-                t.state = replayed
-        if direct:
-            updated = self._filter.update(
-                _stacked([t for t, _ in direct]),
-                np.array([box_to_measurement(d.box) for _, d in direct]),
-            )
-            for (t, _), state in zip(direct, _rows(updated)):
-                t.state = state
+        ids, streak, min_hits = t.ids.tolist(), t.streak.tolist(), self.config.min_hits
+        emitted = [TrackedDetection(dets[c], ids[r])
+                   for r, c in zip(rows.tolist(), cols.tolist()) if streak[r] >= min_hits]
 
-        emitted: list[TrackedDetection] = []
-        matched = set()
-        for t, det in pairs:
-            matched.add(t.id)
-            t.state_at_last_update = t.state
-            t.frames_since_update = 0
-            t.hit_streak += 1
-            t.history.append(TrackedDetection(det, t.id))
-            t.status = (
-                TrackStatus.ACTIVE
-                if t.hit_streak >= self.config.min_hits
-                else TrackStatus.TENTATIVE
-            )
-            if t.hit_streak >= self.config.min_hits:
-                emitted.append(t.history[-1])
+        if len(spawn):
+            new_ids = np.arange(self._next_id, self._next_id + len(spawn))
+            self._next_id += len(spawn)
+            t = t.extend(_TrackTable.new(new_ids, self._filter.init_state(z[spawn]),
+                                         boxes[spawn], self._history_len))
+            if min_hits <= 1:
+                emitted += [TrackedDetection(dets[c], i)
+                            for c, i in zip(spawn.tolist(), new_ids.tolist())]
 
-        for t in self._tracks:
-            if t.id not in matched:
-                t.frames_since_update += 1
-                t.hit_streak = 0
-                t.status = TrackStatus.LOST
-
-        for det in spawn:
-            t = Tracklet(self._next_id, self._filter.init_state(det.box),
-                         TrackedDetection(det, self._next_id),
-                         self.config.ocm_delta_t + 1)
-            self._next_id += 1
-            self._tracks.append(t)
-            if t.hit_streak >= self.config.min_hits:
-                t.status = TrackStatus.ACTIVE
-                emitted.append(t.history[-1])
-
-        survivors = []
-        for t in self._tracks:
-            if t.frames_since_update > self.config.max_age:
-                t.status = TrackStatus.REMOVED
-            else:
-                survivors.append(t)
-        self._tracks = survivors
+        keep = t.since <= self.config.max_age
+        self._table = t if keep.all() else t.take(keep)
         return emitted
 
-    def _replayed_state(self, track: Tracklet, det: Detection) -> Optional[KalmanState]:
-        """The state after matching det, for a track whose update cannot
-        join the frame's batched one; None otherwise."""
-        return None
+    def _updated(self, rows: np.ndarray, z: np.ndarray) -> KalmanState:
+        """The states of the table rows updated against their (cx, cy, w, h)
+        measurements, one row of z each."""
+        t = self._table
+        return self._filter.update(KalmanState(t.mean[rows], t.cov[rows]), z)
 
-    def _associate(
-        self, dets: list[Detection]
-    ) -> tuple[list[tuple[Tracklet, Detection]], list[Detection]]:
+    def _associate(self, pred_boxes: np.ndarray, valid: np.ndarray,
+                   boxes: np.ndarray, confidences: np.ndarray):
+        """Match table rows to detections, given the (T, 4) predicted boxes,
+        their (T,) validity mask and the frame's (N, 4) boxes and (N,)
+        confidences.  Returns index arrays: the matched rows, their
+        detections in the same order, and the detections that start tracks.
+        """
         raise NotImplementedError
 
 
 class SortTracker(_TrackerBase):
     """Gated IoU association of predicted track boxes to all detections."""
 
-    def _associate(self, dets):
-        tracks = [t for t in self._tracks if t.predicted_box is not None]
-        result = associate_iou(
-            [t.predicted_box for t in tracks], [d.box for d in dets],
-            self.config.iou_gate,
-        )
-        pairs = [(tracks[r], dets[c]) for r, c in result.matches]
-        spawn = [dets[c] for c in result.unmatched_cols]
-        return pairs, spawn
+    def _associate(self, pred_boxes, valid, boxes, confidences):
+        tracks = np.flatnonzero(valid)
+        result = associate_iou(pred_boxes[tracks], boxes, self.config.iou_gate)
+        rows, cols, _, spawn = _indexed(result, tracks, np.arange(len(boxes)))
+        return rows, cols, spawn
 
 
 class ByteTracker(_TrackerBase):
@@ -310,28 +335,18 @@ class ByteTracker(_TrackerBase):
     Unmatched low-confidence detections never spawn tracks.
     """
 
-    def _associate(self, dets):
+    def _associate(self, pred_boxes, valid, boxes, confidences):
         cfg = self.config
-        high = [d for d in dets if d.confidence >= cfg.high_conf_threshold]
-        mid = [
-            d for d in dets
-            if cfg.low_conf_threshold <= d.confidence < cfg.high_conf_threshold
-        ]
-        tracks = [t for t in self._tracks if t.predicted_box is not None]
+        high = np.flatnonzero(confidences >= cfg.high_conf_threshold)
+        mid = np.flatnonzero((cfg.low_conf_threshold <= confidences)
+                             & (confidences < cfg.high_conf_threshold))
+        tracks = np.flatnonzero(valid)
 
-        first = associate_iou(
-            [t.predicted_box for t in tracks], [d.box for d in high], cfg.iou_gate
-        )
-        pairs = [(tracks[r], high[c]) for r, c in first.matches]
-        leftovers = [tracks[r] for r in first.unmatched_rows]
-
-        second = associate_iou(
-            [t.predicted_box for t in leftovers], [d.box for d in mid], cfg.iou_gate
-        )
-        pairs.extend((leftovers[r], mid[c]) for r, c in second.matches)
-
-        spawn = [high[c] for c in first.unmatched_cols]
-        return pairs, spawn
+        first = associate_iou(pred_boxes[tracks], boxes[high], cfg.iou_gate)
+        rows, cols, leftovers, spawn = _indexed(first, tracks, high)
+        second = associate_iou(pred_boxes[leftovers], boxes[mid], cfg.iou_gate)
+        rows2, cols2, _, _ = _indexed(second, leftovers, mid)
+        return np.concatenate([rows, rows2]), np.concatenate([cols, cols2]), spawn
 
 
 class OcSortTracker(_TrackerBase):
@@ -345,74 +360,58 @@ class OcSortTracker(_TrackerBase):
     fewer than two observations contribute no direction cost.
     """
 
-    def _anchor(self, track: Tracklet) -> Optional[BoundingBox]:
-        if self.config.oru_enabled and track.frames_since_update >= 1:
-            return track.last_box
-        return track.predicted_box
+    def _headings(self, rows: np.ndarray) -> np.ndarray:
+        """Centre of each row's last observation minus that of the oldest
+        one its ring holds; (0, 0) while a track has one observation."""
+        centers = _centers(self._table.obs[rows])
+        return centers[:, -1] - centers[:, 0]
 
-    def _track_heading(self, track: Tracklet) -> tuple[float, float]:
-        obs = track.history
-        if len(obs) < 2:
-            return (0.0, 0.0)
-        # history holds at most ocm_delta_t + 1 observations, so a full
-        # history's reference is its oldest entry.
-        ref = obs[max(0, len(obs) - 1 - self.config.ocm_delta_t)].box
-        last = obs[-1].box
-        return (last.cx - ref.cx, last.cy - ref.cy)
-
-    def _associate(self, dets):
+    def _associate(self, pred_boxes, valid, boxes, confidences):
         cfg = self.config
-        tracks = []
-        anchors = []
-        for t in self._tracks:
-            anchor = self._anchor(t)
-            if anchor is not None:
-                tracks.append(t)
-                anchors.append(anchor)
+        t = self._table
+        lost = (t.since >= 1) & cfg.oru_enabled
+        tracks = np.flatnonzero(lost | valid)
+        if not len(tracks) or not len(boxes):
+            return _NO_INDEX, _NO_INDEX, np.arange(len(boxes))
+        last = t.obs[tracks, -1]
+        anchors = np.where(lost[tracks, None], last, pred_boxes[tracks])
 
-        dist = iou_distance_matrix(anchors, [d.box for d in dets])
-        direction = np.zeros_like(dist)
-        if cfg.ocm_weight > 0 and dist.size:
-            headings = np.array([self._track_heading(t) for t in tracks])
-            displacements = (_centers([d.box for d in dets])[None, :, :]
-                             - _centers([t.last_box for t in tracks])[:, None, :])
-            direction = direction_costs(headings, displacements)
+        dist = iou_distance_matrix(anchors, boxes)
+        cost = dist
+        if cfg.ocm_weight > 0:
+            displacements = _centers(boxes)[None, :, :] - _centers(last)[:, None, :]
+            cost = dist + cfg.ocm_weight * direction_costs(self._headings(tracks),
+                                                           displacements)
         # Gate on the IoU distance alone; the direction term only ranks
         # candidates that already overlap enough.
-        result = solve_admissible(dist + cfg.ocm_weight * direction,
-                                  dist <= cfg.iou_gate)
+        result = solve_admissible(cost, dist <= cfg.iou_gate)
+        rows, cols, _, spawn = _indexed(result, tracks, np.arange(len(boxes)))
+        return rows, cols, spawn
 
-        pairs = [(tracks[r], dets[c]) for r, c in result.matches]
-        spawn = [dets[c] for c in result.unmatched_cols]
-        return pairs, spawn
+    def _updated(self, rows, z):
+        state = super()._updated(rows, z)
+        # A track re-found after a gap is replayed on its own instead.
+        for i in np.flatnonzero((self._table.since[rows] >= 1) & self.config.oru_enabled):
+            replayed = self._replayed(int(rows[i]), z[i])
+            state.mean[i], state.covariance[i] = replayed.mean, replayed.covariance
+        return state
 
-    def _replayed_state(self, track: Tracklet, det: Detection) -> Optional[KalmanState]:
-        gap = track.frames_since_update
-        if not self.config.oru_enabled or gap < 1:
-            return None
+    def _replayed(self, row: int, z: np.ndarray) -> KalmanState:
         # Replay the filter over the gap: from the state at the last real
         # observation, feed linearly interpolated virtual boxes, then the
         # current observation, exactly as if none had been missed.
-        b0 = track.last_box
-        b1 = det.box
-        state = track.state_at_last_update
-        c0 = (b0.cx, b0.cy, b0.w, b0.h)
-        c1 = (b1.cx, b1.cy, b1.w, b1.h)
+        t = self._table
+        gap = int(t.since[row])
+        x, y, w, h = t.obs[row, -1].tolist()
+        c0 = (x + w / 2.0, y + h / 2.0, w, h)
+        c1 = z.tolist()
+        state = KalmanState(t.mean_upd[row], t.cov_upd[row])
         for j in range(1, gap + 1):
             f = j / (gap + 1)
             cx, cy, w, h = (a + (b - a) * f for a, b in zip(c0, c1))
             virtual = BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
             state = self._filter.update(self._filter.predict(state), virtual)
-        return self._filter.update(self._filter.predict(state), b1)
-
-
-def _stacked(tracks: Sequence[Tracklet]) -> KalmanState:
-    return KalmanState(np.stack([t.state.mean for t in tracks]),
-                       np.stack([t.state.covariance for t in tracks]))
-
-
-def _rows(stack: KalmanState) -> list[KalmanState]:
-    return [KalmanState(m, c) for m, c in zip(stack.mean, stack.covariance)]
+        return self._filter.update(self._filter.predict(state), z)
 
 
 _TRACKER_CLASSES = {

@@ -5,12 +5,13 @@ its output is buffered for k frames.  At the end of each window the
 highest-confidence box of each level-1 id is fed, as a single pseudo-frame,
 to a second tracker (level 2) that therefore runs at 1/k of the frame rate
 over only the cleanest boxes.  Level-2 ids are then taken as reference:
-each buffered frame's level-1 boxes are matched to the window's level-2
-boxes by IoU-distance assignment, admitting only pairs that overlap, and
-relabeled with the matching level-2 id.  Level-1 boxes that match no
-level-2 box get a deterministic fresh id, UNMATCHED_ID_OFFSET plus their
-level-1 id; it cannot equal a level-2 id while level 2 has issued fewer
-than UNMATCHED_ID_OFFSET ids.
+one IoU matrix holds the level-1 boxes of all buffered frames against the
+window's level-2 boxes; each frame's rows of it are matched by
+IoU-distance assignment, admitting only pairs that overlap, and each
+matched level-1 box is relabeled with its level-2 id.  Level-1 boxes that
+match no level-2 box get a deterministic fresh id, UNMATCHED_ID_OFFSET
+plus their level-1 id; it cannot equal a level-2 id while level 2 has
+issued fewer than UNMATCHED_ID_OFFSET ids.
 
 Because level 2 steps once per window, a track it can hold for n of its own
 steps survives k*n source frames, which is what lets the corrected stream
@@ -121,14 +122,20 @@ class WindowedTracker:
             Detection(last_frame, td.box, td.confidence) for td in selected
         ]
         level2_out = self.level2.step(last_frame, pseudo)
-        level2_boxes = [td.box for td in level2_out]
 
+        # One IoU call per window; each frame is matched on its own rows.
+        overlap = iou_matrix(
+            [td.box for _, tracked in buffer.frames for td in tracked],
+            [td.box for td in level2_out],
+        )
         corrected: list[TrackedDetection] = []
-        for frame, tracked in buffer.frames:
-            overlap = iou_matrix([td.box for td in tracked], level2_boxes)
+        start = 0
+        for _, tracked in buffer.frames:
+            block = overlap[start:start + len(tracked)]
+            start += len(tracked)
             id_map = {
                 r: level2_out[c].track_id
-                for r, c in solve_admissible(1.0 - overlap, overlap > 0.0).matches
+                for r, c in solve_admissible(1.0 - block, block > 0.0).matches
             }
             for idx, td in enumerate(tracked):
                 new_id = id_map.get(idx, UNMATCHED_ID_OFFSET + td.track_id)

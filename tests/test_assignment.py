@@ -126,3 +126,42 @@ class TestAgreement:
             assert rows == list(range(m.shape[0]))
             assert cols == list(range(m.shape[1]))
             assert result.total_cost == sum(m[r, c] for r, c in result.matches)
+
+
+class TestUncontendedFastPath:
+    """Admissible pairs that share no row and no column are the one maximum
+    matching, so they are returned without calling the solver."""
+
+    @staticmethod
+    def _count_solver_calls(monkeypatch) -> list:
+        import wintrack.assignment
+
+        calls = []
+        lsa = wintrack.assignment.linear_sum_assignment
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return lsa(cost)
+
+        monkeypatch.setattr(wintrack.assignment, "linear_sum_assignment", counted)
+        return calls
+
+    def test_uncontended_mask_skips_the_solver(self, monkeypatch):
+        calls = self._count_solver_calls(monkeypatch)
+        cost = np.array([[0.9, 0.1, 0.5], [0.2, 0.8, 0.3]])
+        mask = np.array([[False, False, True], [True, False, False]])
+        result = solve_admissible(cost, mask)
+        assert calls == []
+        assert result.matches == ((0, 2), (1, 0))
+        assert all(type(i) is int for pair in result.matches for i in pair)
+        assert result.unmatched_rows == ()
+        assert result.unmatched_cols == (1,)
+        assert result.total_cost == 0.5 + 0.2
+
+    def test_contended_mask_calls_the_solver(self, monkeypatch):
+        calls = self._count_solver_calls(monkeypatch)
+        cost = np.array([[0.9, 0.1], [0.2, 0.8]])
+        mask = np.array([[True, True], [True, False]])
+        result = solve_admissible(cost, mask)
+        assert len(calls) >= 1
+        assert result.matches == ((0, 1), (1, 0))

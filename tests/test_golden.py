@@ -7,6 +7,12 @@ refactor of the tracking core, must leave every emitted id where it was;
 a mismatch here means the association or the filter arithmetic changed
 an outcome, not merely a last bit of a state.
 
+The plain-option digests were recorded before the trackers held their
+live tracks in one table of arrays.  They run each kind with recovery and
+the direction term off, min_hits=1 and max_age=1, alone and under a
+ByteTrack level 2 with the same options, so tracks spawn, emit and retire
+in the same frames and row order decides assignment ties.
+
 The report digest was recorded before the metrics shared one pairing of
 each sequence's frames.  It hashes every ``evaluate`` field, floats as
 hex, so a refactor of the metrics must leave each count and score
@@ -43,6 +49,20 @@ BUNDLED_DIGESTS = {
 DENSE_DIGEST = "1367248d3e908d38"
 
 REPORT_DIGEST = "d1138266b28899ea"
+
+# Without recovery or direction term, every track confirmed at once and
+# retired after one missed step: spawn, emit and retirement in one frame.
+PLAIN_OPTIONS = dict(oru_enabled=False, ocm_weight=0.0, min_hits=1, max_age=1)
+
+PLAIN_DIGESTS = {
+    "crossing": "df2c30c1bd5dc444",
+    "idswitch": "e3a936bd24a31b53",
+    "occlusion": "4146c16b7939755c",
+    "confdip": "a3fa891818c68fdc",
+    "weave": "57c83f66bc357f20",
+}
+
+DENSE_PLAIN_DIGEST = "5fb86250692421a9"
 
 
 def dense_crossing_scenario() -> Scenario:
@@ -113,6 +133,29 @@ def test_bundled_ids_unchanged(name):
 def test_dense_crossing_ids_unchanged():
     _, dets = generate(dense_crossing_scenario())
     assert _suite_digest(dets, [("ocsort", "bytetrack")]) == DENSE_DIGEST
+
+
+def _plain_suite_digest(dets) -> str:
+    h = hashlib.sha256()
+    for kind in TRACKER_KINDS:
+        level1 = make_tracker(TrackerConfig(kind=kind, **PLAIN_OPTIONS))
+        h.update(_id_digest(run_tracker(level1, dets)).encode())
+        level1 = make_tracker(TrackerConfig(kind=kind, **PLAIN_OPTIONS))
+        level2 = make_tracker(TrackerConfig(kind="bytetrack", **PLAIN_OPTIONS))
+        wt = WindowedTracker(level1, level2, GOLDEN_K)
+        h.update(_id_digest(run_windowed(wt, dets)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", BUNDLED_SUITE)
+def test_bundled_ids_unchanged_with_plain_options(name):
+    _, dets = generate(bundled_scenario(name))
+    assert _plain_suite_digest(dets) == PLAIN_DIGESTS[name]
+
+
+def test_dense_crossing_ids_unchanged_with_plain_options():
+    _, dets = generate(dense_crossing_scenario())
+    assert _plain_suite_digest(dets) == DENSE_PLAIN_DIGEST
 
 
 def test_bundled_reports_unchanged():

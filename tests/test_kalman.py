@@ -217,3 +217,12 @@ class TestStateToBox:
         state = KalmanState(np.array([5.0, 5.0, 0.0, 10.0, 0, 0, 0, 0]), np.eye(8))
         with pytest.raises(DegenerateStateError):
             state_to_box(state)
+
+    def test_stacked_init_equals_one_at_a_time_bitwise(self, motion, rng):
+        boxes = [random_box(rng, pos_range=100.0) for _ in range(50)]
+        stack = motion.init_state(np.array([(b.cx, b.cy, b.w, b.h) for b in boxes]))
+        assert stack.mean.shape == (50, 8)
+        for i, b in enumerate(boxes):
+            single = motion.init_state(b)
+            assert np.array_equal(stack.mean[i], single.mean)
+            assert np.array_equal(stack.covariance[i], single.covariance)

@@ -11,7 +11,6 @@ from wintrack.trackers import (
     Detection,
     OcSortTracker,
     SortTracker,
-    TrackStatus,
     TrackedDetection,
     TrackerConfig,
     associate_iou,
@@ -123,15 +122,15 @@ class TestStepContract:
 
 class TestLifecycle:
     def test_statuses_follow_hits_and_misses(self):
+        # tentative below min_hits, active from it, lost once a frame is missed
         t = SortTracker(TrackerConfig(min_hits=3, max_age=5))
-        t.step(1, [det(1, 100, 100)])
-        assert t.tracks[0].status is TrackStatus.TENTATIVE
+        assert t.step(1, [det(1, 100, 100)]) == []
+        assert (t.tracks[0].hit_streak, t.tracks[0].frames_since_update) == (1, 0)
         t.step(2, [det(2, 100, 100)])
-        t.step(3, [det(3, 100, 100)])
-        assert t.tracks[0].status is TrackStatus.ACTIVE
+        assert len(t.step(3, [det(3, 100, 100)])) == 1
+        assert (t.tracks[0].hit_streak, t.tracks[0].frames_since_update) == (3, 0)
         t.step(4, [])
-        assert t.tracks[0].status is TrackStatus.LOST
-        assert t.tracks[0].frames_since_update == 1
+        assert (t.tracks[0].hit_streak, t.tracks[0].frames_since_update) == (0, 1)
 
     def test_track_removed_after_max_age(self):
         t = SortTracker(TrackerConfig(min_hits=1, max_age=4))
@@ -337,8 +336,41 @@ class TestHistoryBound:
         if kind == "ocsort":
             # the heading spans the last ocm_delta_t steps of the full path
             ref, last = observed[-1 - cfg.ocm_delta_t], observed[-1]
-            heading = tracker._track_heading(tracker.tracks[0])
-            assert heading == (last.cx - ref.cx, last.cy - ref.cy)
+            heading = tracker._headings(np.array([0]))[0]
+            assert tuple(heading.tolist()) == (last.cx - ref.cx, last.cy - ref.cy)
+
+
+class TestDegeneratePrediction:
+    """A box that shrinks 6 px a frame, then goes unseen, is predicted with
+    a negative size; such a track sits association out but stays alive."""
+
+    @staticmethod
+    def _shrink_then_reappear(kind):
+        tracker = make_tracker(TrackerConfig(kind=kind, min_hits=1))
+        sides = range(100, 45, -6)      # 100 px down to 46 px, frames 1-10
+
+        def square(f, side):
+            return Detection(f, BoundingBox(500 - side / 2, 500 - side / 2, side, side), 0.9)
+
+        for f, side in enumerate(sides, start=1):
+            assert [td.track_id for td in tracker.step(f, [square(f, side)])] == [1]
+        for f in range(11, 26):
+            assert tracker.step(f, []) == []
+        return tracker, tracker.step(26, [square(26, 46)])
+
+    @pytest.mark.parametrize("kind", ["sort", "bytetrack"])
+    def test_degenerate_track_is_skipped_and_kept(self, kind):
+        tracker, out = self._shrink_then_reappear(kind)
+        assert [td.track_id for td in out] == [2]
+        assert [(t.id, t.frames_since_update, t.hit_streak) for t in tracker.tracks] \
+            == [(1, 16, 0), (2, 0, 1)]
+        assert tracker.tracks[0].state.mean[2] < 0.0
+
+    def test_ocsort_retakes_through_its_last_box(self):
+        tracker, out = self._shrink_then_reappear("ocsort")
+        assert [td.track_id for td in out] == [1]
+        assert [(t.id, t.frames_since_update, t.hit_streak) for t in tracker.tracks] \
+            == [(1, 0, 1)]
 
 
 class TestDeterminism:
