@@ -10,7 +10,7 @@ scenario generator, and a CLI (``wintrack``).
 
 from .assignment import AssignmentResult, solve
 from .geometry import BoundingBox, iou, iou_distance_matrix
-from .kalman import DegenerateStateError, KalmanState, MotionFilter, state_to_box
+from .kalman import KalmanState, MotionFilter
 from .metrics import (
     ClearCounts,
     HotaAccumulator,
@@ -55,7 +55,6 @@ __all__ = [
     "BoundingBox",
     "ByteTracker",
     "ClearCounts",
-    "DegenerateStateError",
     "Detection",
     "HotaAccumulator",
     "IdentityCounts",
@@ -94,6 +93,5 @@ __all__ = [
     "run_windowed",
     "select_best",
     "solve",
-    "state_to_box",
     "write_results",
 ]

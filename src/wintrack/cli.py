@@ -76,9 +76,17 @@ def _k_list(text: str) -> list[int]:
     return values
 
 
-_CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(TrackerConfig)}
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
+_PARSERS = {
+    str: str.strip,
+    bool: lambda raw: _BOOL_VALUES[raw.strip().lower()],
+    int: int,
+    float: float,
+}
+# Each TrackerConfig field's value parser, chosen by the type of its default.
+_FIELD_PARSERS = {f.name: _PARSERS[type(getattr(TrackerConfig, f.name))]
+                  for f in fields(TrackerConfig)}
 
 
 def _load_config_file(path) -> dict[str, dict]:
@@ -95,17 +103,10 @@ def _load_config_file(path) -> dict[str, dict]:
             raise ConfigError(f"{path}: unknown section [{section}]")
         overrides = {}
         for key, raw in parser[section].items():
-            if key not in _CONFIG_FIELD_TYPES:
+            if key not in _FIELD_PARSERS:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                if key == "kind":
-                    overrides[key] = raw.strip()
-                elif key == "oru_enabled":
-                    overrides[key] = _BOOL_VALUES[raw.strip().lower()]
-                elif key in ("max_age", "min_hits", "ocm_delta_t"):
-                    overrides[key] = int(raw)
-                else:
-                    overrides[key] = float(raw)
+                overrides[key] = _FIELD_PARSERS[key](raw)
             except (ValueError, KeyError) as exc:
                 raise ConfigError(
                     f"{path}: bad value {raw!r} for {key!r} in [{section}]"

@@ -4,10 +4,11 @@ The state is the 8-vector (cx, cy, w, h, vcx, vcy, vw, vh): box center,
 width and height, and their per-frame velocities.  Carrying width and
 height directly (rather than scale/aspect) means one filter serves every
 tracker in the package.  All operations are pure: they take a state and
-return a new one.  A state may also be a stack of N states (mean (N, 8),
-covariance (N, 8, 8)); init_state, predict and update run the same
-arithmetic on every row at once, so a tracker steps all its live tracks in
-one call.
+return a new one.  Measurements are (..., 4) arrays of (cx, cy, w, h): one
+row gives one state (mean (8,), covariance (8, 8)), N rows a stack of N
+(mean (N, 8), covariance (N, 8, 8)).  init_state, predict and update run
+the same arithmetic on every row at once, so a tracker steps all its live
+tracks in one call.
 
 Noise is scale-adaptive: standard deviations are proportional to the box
 height, with weights h/20 for measured components and h/160 for velocities
@@ -18,11 +19,9 @@ constants; predict/update accept explicit noise overrides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-
-from .geometry import BoundingBox
 
 STATE_DIM = 8
 MEASUREMENT_DIM = 4
@@ -41,36 +40,10 @@ _NOISE_WEIGHTS = np.array([DEFAULT_POSITION_WEIGHT] * MEASUREMENT_DIM
                           + [DEFAULT_VELOCITY_WEIGHT] * MEASUREMENT_DIM)
 
 
-class DegenerateStateError(ValueError):
-    """Raised when a state's width or height is not positive."""
-
-
 @dataclass(frozen=True)
 class KalmanState:
     mean: np.ndarray        # shape (..., 8)
     covariance: np.ndarray  # shape (..., 8, 8), each symmetric PSD
-
-
-def box_to_measurement(box: BoundingBox) -> np.ndarray:
-    return np.array([box.cx, box.cy, box.w, box.h], dtype=float)
-
-
-def state_to_box(state: KalmanState) -> BoundingBox:
-    """Inverse of the center-form conversion, for one unstacked state.
-
-    Raises DegenerateStateError when the state's width or height is not
-    positive; callers decide whether to drop or retire the track.
-    """
-    cx, cy, w, h = state.mean[:MEASUREMENT_DIM]
-    if w <= 0 or h <= 0:
-        raise DegenerateStateError(f"state has non-positive size w={w}, h={h}")
-    return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
-
-
-def _measured(measurement: Union[BoundingBox, np.ndarray]) -> np.ndarray:
-    if isinstance(measurement, BoundingBox):
-        return box_to_measurement(measurement)
-    return np.asarray(measurement, dtype=float)
 
 
 def _transposed(m: np.ndarray) -> np.ndarray:
@@ -92,13 +65,13 @@ def _noise(h) -> np.ndarray:
 class MotionFilter:
     """Predict/update engine; holds no state of its own or of any track."""
 
-    def init_state(self, measurement: Union[BoundingBox, np.ndarray]) -> KalmanState:
+    def init_state(self, measurement: np.ndarray) -> KalmanState:
         """State centered on the measurement with zero initial velocity.
 
-        A BoundingBox gives one state; an (N, 4) array of (cx, cy, w, h)
+        A (4,) row of (cx, cy, w, h) gives one state; an (N, 4) array of
         rows gives a stack of N.
         """
-        z = _measured(measurement)
+        z = np.asarray(measurement, dtype=float)
         mean = np.zeros(z.shape[:-1] + (STATE_DIM,))
         mean[..., :MEASUREMENT_DIM] = z
         return KalmanState(mean=mean, covariance=_noise(z[..., 3]))
@@ -122,19 +95,19 @@ class MotionFilter:
     def update(
         self,
         state: KalmanState,
-        measurement: Union[BoundingBox, np.ndarray],
+        measurement: np.ndarray,
         measurement_noise: Optional[np.ndarray] = None,
     ) -> KalmanState:
         """Standard measurement update against (cx, cy, w, h).
 
-        A single state takes a BoundingBox; a stack of N states takes an
-        (N, 4) array of (cx, cy, w, h) rows.  R defaults to the
-        height-scaled diagonal from the measurement; pass measurement_noise
-        (4x4) to override.  The posterior covariance is formed in Joseph
-        form and re-symmetrized, so symmetry and positive semidefiniteness
-        hold by construction.
+        A single state takes a (4,) row; a stack of N states takes an
+        (N, 4) array of rows.  R defaults to the height-scaled diagonal
+        from the measurement; pass measurement_noise (4x4) to override.
+        The posterior covariance is formed in Joseph form and
+        re-symmetrized, so symmetry and positive semidefiniteness hold by
+        construction.
         """
-        z = _measured(measurement)
+        z = np.asarray(measurement, dtype=float)
         if measurement_noise is None:
             r = _noise(z[..., 3])[..., :MEASUREMENT_DIM, :MEASUREMENT_DIM]
         else:

@@ -147,7 +147,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
     return dict(sorted(grouped.items()))
 
 
-def _read_records(path, min_fields, parse_tail, require_positive_id) -> SequenceData:
+def _read_records(path, min_fields, parse_tail) -> SequenceData:
     records = []
     seen: set[tuple[int, int]] = set()
     for lineno, fields in _numbered_rows(path):
@@ -156,7 +156,7 @@ def _read_records(path, min_fields, parse_tail, require_positive_id) -> Sequence
         if frame < 1:
             raise MotFileError(f"{path}: line {lineno}: frame must be >= 1")
         track_id = _parse_int(path, lineno, "id", fields[1])
-        if require_positive_id and track_id < 1:
+        if track_id < 1:
             raise MotFileError(
                 f"{path}: line {lineno}: track id must be >= 1, got {track_id}"
             )
@@ -192,7 +192,7 @@ def read_ground_truth(path) -> SequenceData:
         visibility = _parse_float(p, lineno, "visibility", fields[8])
         return flag, class_id, visibility
 
-    return _read_records(path, 9, tail, require_positive_id=True)
+    return _read_records(path, 9, tail)
 
 
 def read_results(path) -> SequenceData:
@@ -202,7 +202,7 @@ def read_results(path) -> SequenceData:
         conf = _parse_float(p, lineno, "conf", fields[6])
         return conf, -1, -1.0
 
-    return _read_records(path, 7, tail, require_positive_id=True)
+    return _read_records(path, 7, tail)
 
 
 def write_results(path, tracked: Sequence[TrackedDetection]) -> None:

@@ -30,6 +30,7 @@ filter per track.  ``tracks`` gives a read-only snapshot of the table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -112,8 +113,8 @@ class TrackerConfig:
             raise ValueError("min_hits must be >= 1")
         if not 0.0 <= self.low_conf_threshold <= self.high_conf_threshold <= 1.0:
             raise ValueError("need 0 <= low_conf_threshold <= high_conf_threshold <= 1")
-        if self.ocm_weight < 0:
-            raise ValueError("ocm_weight must be >= 0")
+        if not 0.0 <= self.ocm_weight < math.inf:
+            raise ValueError("ocm_weight must be finite and >= 0")
         if self.ocm_delta_t < 1:
             raise ValueError("ocm_delta_t must be >= 1")
 
@@ -399,7 +400,9 @@ class OcSortTracker(_TrackerBase):
     def _replayed(self, row: int, z: np.ndarray) -> KalmanState:
         # Replay the filter over the gap: from the state at the last real
         # observation, feed linearly interpolated virtual boxes, then the
-        # current observation, exactly as if none had been missed.
+        # current observation, exactly as if none had been missed.  Each
+        # virtual box is formed as (x, y, w, h) and measured by its centre,
+        # as a detection is, so its floats match a detection's.
         t = self._table
         gap = int(t.since[row])
         x, y, w, h = t.obs[row, -1].tolist()
@@ -409,7 +412,8 @@ class OcSortTracker(_TrackerBase):
         for j in range(1, gap + 1):
             f = j / (gap + 1)
             cx, cy, w, h = (a + (b - a) * f for a, b in zip(c0, c1))
-            virtual = BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
+            x, y = cx - w / 2.0, cy - h / 2.0
+            virtual = np.array([x + w / 2.0, y + h / 2.0, w, h])
             state = self._filter.update(self._filter.predict(state), virtual)
         return self._filter.update(self._filter.predict(state), z)
 

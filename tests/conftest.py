@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from wintrack.geometry import BoundingBox
@@ -15,6 +16,11 @@ def random_box(rng: random.Random, pos_range=30.0, side_lo=10.0, side_hi=30.0):
         rng.uniform(side_lo, side_hi),
         rng.uniform(side_lo, side_hi),
     )
+
+
+def center_form(box: BoundingBox) -> np.ndarray:
+    """A box as the filter's (cx, cy, w, h) measurement row."""
+    return np.array([box.cx, box.cy, box.w, box.h])
 
 
 def random_scenario(seed: int) -> Scenario:

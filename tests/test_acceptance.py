@@ -41,7 +41,7 @@ from wintrack.trackers import (
 )
 from wintrack.window import WindowedTracker, run_windowed
 
-from conftest import random_scenario
+from conftest import center_form, random_scenario
 from test_metrics import random_micro_instance, split_id_case
 
 
@@ -114,7 +114,7 @@ def test_criterion_3_kalman_oracles():
                 state = motion.predict(state, process_noise=q_full)
                 z = oracle.x + rng.uniform(-3, 3)
                 oracle.update(z, r)
-                state = motion.update(state, BoundingBox(z - 0.5, -0.5, 1, 1),
+                state = motion.update(state, np.array([z, 0.0, 1.0, 1.0]),
                                       measurement_noise=r_full)
                 assert abs(state.mean[0] - oracle.x) <= 1e-10
                 assert abs(state.mean[4] - oracle.v) <= 1e-10
@@ -122,14 +122,14 @@ def test_criterion_3_kalman_oracles():
                 assert abs(state.covariance[0, 4] - oracle.p[0][1]) <= 1e-10
                 assert abs(state.covariance[4, 4] - oracle.p[1][1]) <= 1e-10
 
-        state = motion.init_state(BoundingBox(0, 0, 30, 60))
+        state = motion.init_state(np.array([15.0, 30.0, 30.0, 60.0]))
         for _ in range(1000):
             state = motion.predict(state)
             cov = state.covariance
             assert np.max(np.abs(cov - cov.T)) <= 1e-9
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
-            z = BoundingBox(rng.uniform(-5, 5), rng.uniform(-5, 5),
-                            rng.uniform(20, 40), rng.uniform(50, 70))
+            z = center_form(BoundingBox(rng.uniform(-5, 5), rng.uniform(-5, 5),
+                                        rng.uniform(20, 40), rng.uniform(50, 70)))
             state = motion.update(state, z)
             cov = state.covariance
             assert np.max(np.abs(cov - cov.T)) <= 1e-9
@@ -193,9 +193,9 @@ def test_criterion_5_tracker_degeneracies(tmp_path):
         out = tracker.step(9, [boxes[9]])
         assert [td.track_id for td in out] == [1]
         motion = MotionFilter()
-        state = motion.init_state(boxes[1].box)
+        state = motion.init_state(center_form(boxes[1].box))
         for f in range(2, 10):
-            state = motion.update(motion.predict(state), boxes[f].box)
+            state = motion.update(motion.predict(state), center_form(boxes[f].box))
         track = tracker.tracks[0]
         assert np.max(np.abs(track.state.mean - state.mean)) <= 1e-8
         assert np.max(np.abs(track.state.covariance - state.covariance)) <= 1e-8

@@ -83,6 +83,36 @@ class TestTrack:
         assert code == 3
         assert "speediness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_ocm_weight_is_data_error(self, scene_files, tmp_path,
+                                                 capsys, value):
+        _, det_path = scene_files
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[l1]\nocm_weight = {value}\n")
+        code = main(["track", "--det", str(det_path), "--l1", "ocsort",
+                     "--out", str(tmp_path / "r.txt"), "--config", str(cfg)])
+        assert code == 3
+        assert "ocm_weight" in capsys.readouterr().err
+
+    def test_fractional_count_is_data_error(self, scene_files, tmp_path, capsys):
+        _, det_path = scene_files
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[l1]\nmax_age = 2.5\n")
+        code = main(["track", "--det", str(det_path), "--l1", "sort",
+                     "--out", str(tmp_path / "r.txt"), "--config", str(cfg)])
+        assert code == 3
+        assert "max_age" in capsys.readouterr().err
+
+    def test_boolean_word_is_accepted(self, scene_files, tmp_path):
+        _, det_path = scene_files
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[l1]\noru_enabled = no\n")
+        out = tmp_path / "r.txt"
+        code = main(["track", "--det", str(det_path), "--l1", "ocsort",
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == 0
+        assert read_results(out).records
+
 
 class TestEval:
     def test_result_equal_to_ground_truth_scores_100(self, scene_files, capsys):
@@ -194,6 +224,11 @@ class TestMisc:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "track" in capsys.readouterr().out
+
+    def test_every_export_resolves(self):
+        import wintrack
+
+        assert [n for n in wintrack.__all__ if not hasattr(wintrack, n)] == []
 
     def test_module_entry_point(self):
         import os

@@ -5,14 +5,9 @@ import pytest
 
 from oracles import ScalarKalman
 from wintrack.geometry import BoundingBox
-from wintrack.kalman import (
-    DegenerateStateError,
-    KalmanState,
-    MotionFilter,
-    state_to_box,
-)
+from wintrack.kalman import KalmanState, MotionFilter
 
-from conftest import random_box
+from conftest import center_form, random_box
 
 
 @pytest.fixture
@@ -21,7 +16,7 @@ def motion():
 
 
 def random_state(rng: random.Random, motion: MotionFilter) -> KalmanState:
-    state = motion.init_state(random_box(rng, pos_range=100.0))
+    state = motion.init_state(center_form(random_box(rng, pos_range=100.0)))
     mean = state.mean.copy()
     mean[4:] = [rng.uniform(-2, 2) for _ in range(4)]
     return KalmanState(mean, state.covariance)
@@ -34,29 +29,29 @@ def assert_symmetric_psd(cov, sym_tol=1e-9, eig_floor=-1e-9):
 
 class TestInitState:
     def test_center_conversion_square(self, motion):
-        state = motion.init_state(BoundingBox(0, 0, 10, 10))
+        state = motion.init_state(center_form(BoundingBox(0, 0, 10, 10)))
         assert np.allclose(state.mean, [5, 5, 10, 10, 0, 0, 0, 0])
 
     def test_center_conversion_rectangle(self, motion):
-        state = motion.init_state(BoundingBox(10, 20, 4, 8))
+        state = motion.init_state(center_form(BoundingBox(10, 20, 4, 8)))
         assert np.allclose(state.mean[:4], [12, 24, 4, 8])
         assert np.all(state.mean[4:] == 0)
 
     def test_covariance_diagonal_psd(self, motion, rng):
         for _ in range(20):
-            state = motion.init_state(random_box(rng))
+            state = motion.init_state(center_form(random_box(rng)))
             assert np.count_nonzero(state.covariance - np.diag(np.diag(state.covariance))) == 0
             assert_symmetric_psd(state.covariance)
 
     def test_noise_weights_scale_with_height(self):
-        state = MotionFilter().init_state(BoundingBox(0, 0, 10, 40))
+        state = MotionFilter().init_state(np.array([5.0, 20.0, 10.0, 40.0]))
         assert state.covariance[0, 0] == pytest.approx((40 / 20) ** 2)
         assert state.covariance[4, 4] == pytest.approx((40 / 160) ** 2)
 
 
 class TestPredict:
     def test_zero_velocity_fixed_point(self, motion):
-        state = motion.init_state(BoundingBox(0, 0, 10, 10))
+        state = motion.init_state(np.array([5.0, 5.0, 10.0, 10.0]))
         out = motion.predict(state, process_noise=np.zeros((8, 8)))
         assert np.array_equal(out.mean, state.mean)
 
@@ -86,34 +81,32 @@ class TestPredict:
 
 class TestUpdate:
     def test_tiny_noise_pins_mean_to_measurement(self, motion):
-        state = motion.init_state(BoundingBox(0, 0, 10, 10))
+        state = motion.init_state(np.array([5.0, 5.0, 10.0, 10.0]))
         state = motion.predict(state)
-        z = BoundingBox(3, 4, 12, 9)
+        z = np.array([9.0, 8.5, 12.0, 9.0])
         out = motion.update(state, z, measurement_noise=np.eye(4) * 1e-9)
-        assert np.allclose(out.mean[:4], [z.cx, z.cy, z.w, z.h], atol=1e-6)
+        assert np.allclose(out.mean[:4], z, atol=1e-6)
 
     def test_zero_innovation_keeps_mean(self, motion):
-        state = motion.init_state(BoundingBox(10, 10, 20, 40))
-        cx, cy, w, h = state.mean[:4]
-        out = motion.update(state, BoundingBox(cx - w / 2, cy - h / 2, w, h))
+        state = motion.init_state(np.array([20.0, 30.0, 20.0, 40.0]))
+        out = motion.update(state, state.mean[:4])
         assert np.allclose(out.mean, state.mean, atol=1e-10)
 
     def test_measured_variance_never_grows(self, motion, rng):
         for _ in range(50):
             state = random_state(rng, motion)
             state = motion.predict(state)
-            out = motion.update(state, random_box(rng, pos_range=100.0))
+            out = motion.update(state, center_form(random_box(rng, pos_range=100.0)))
             prior = state.covariance[:4, :4]
             post = out.covariance[:4, :4]
             assert np.min(np.linalg.eigvalsh(prior - post)) >= -1e-9
 
     def test_repeated_update_innovation_non_increasing(self, motion):
-        state = motion.init_state(BoundingBox(0, 0, 10, 10))
-        z = BoundingBox(4, 4, 12, 12)
-        target = np.array([z.cx, z.cy, z.w, z.h])
+        state = motion.init_state(np.array([5.0, 5.0, 10.0, 10.0]))
+        z = np.array([10.0, 10.0, 12.0, 12.0])
         previous = np.inf
         for _ in range(50):
-            norm = float(np.linalg.norm(target - state.mean[:4]))
+            norm = float(np.linalg.norm(z - state.mean[:4]))
             assert norm <= previous + 1e-12
             previous = norm
             state = motion.update(state, z)
@@ -146,7 +139,7 @@ class TestScalarReduction:
                 state = motion.predict(state, process_noise=q_full)
                 z = oracle.x + rng.uniform(-3, 3)
                 oracle.update(z, r)
-                measurement = BoundingBox(z - 0.5, -0.5, 1.0, 1.0)
+                measurement = np.array([z, 0.0, 1.0, 1.0])
                 state = motion.update(state, measurement, measurement_noise=r_full)
 
                 assert state.mean[0] == pytest.approx(oracle.x, abs=1e-10)
@@ -158,11 +151,11 @@ class TestScalarReduction:
 
 class TestCycleInvariants:
     def test_predict_update_cycles_stay_symmetric_psd(self, motion, rng):
-        state = motion.init_state(BoundingBox(0, 0, 30, 60))
+        state = motion.init_state(np.array([15.0, 30.0, 30.0, 60.0]))
         for _ in range(200):
             state = motion.predict(state)
             assert_symmetric_psd(state.covariance)
-            z = random_box(rng, pos_range=60.0, side_lo=20.0, side_hi=70.0)
+            z = center_form(random_box(rng, pos_range=60.0, side_lo=20.0, side_hi=70.0))
             state = motion.update(state, z)
             assert_symmetric_psd(state.covariance)
             # a valid measurement always leaves a usable size behind
@@ -172,17 +165,16 @@ class TestCycleInvariants:
 class TestStack:
     def test_stack_equals_one_at_a_time_bitwise(self, motion, rng):
         states = [random_state(rng, motion) for _ in range(200)]
-        boxes = [random_box(rng, pos_range=100.0) for _ in range(200)]
+        z = np.array([center_form(random_box(rng, pos_range=100.0)) for _ in range(200)])
         stack = KalmanState(np.stack([s.mean for s in states]),
                             np.stack([s.covariance for s in states]))
         predicted = motion.predict(stack)
-        updated = motion.update(
-            predicted, np.array([(b.cx, b.cy, b.w, b.h) for b in boxes]))
+        updated = motion.update(predicted, z)
         assert updated.mean.shape == (200, 8)
         assert updated.covariance.shape == (200, 8, 8)
-        for i, (state, b) in enumerate(zip(states, boxes)):
+        for i, state in enumerate(states):
             p = motion.predict(state)
-            u = motion.update(p, b)
+            u = motion.update(p, z[i])
             assert np.array_equal(predicted.mean[i], p.mean)
             assert np.array_equal(predicted.covariance[i], p.covariance)
             assert np.array_equal(updated.mean[i], u.mean)
@@ -190,39 +182,18 @@ class TestStack:
 
     def test_stack_of_one(self, motion, rng):
         state = random_state(rng, motion)
-        b = random_box(rng, pos_range=100.0)
+        z = center_form(random_box(rng, pos_range=100.0))
         one = KalmanState(state.mean[None], state.covariance[None])
-        out = motion.update(motion.predict(one), np.array([[b.cx, b.cy, b.w, b.h]]))
-        single = motion.update(motion.predict(state), b)
+        out = motion.update(motion.predict(one), z[None])
+        single = motion.update(motion.predict(state), z)
         assert np.array_equal(out.mean[0], single.mean)
         assert np.array_equal(out.covariance[0], single.covariance)
 
-
-class TestStateToBox:
-    def test_round_trip(self, motion, rng):
-        for _ in range(50):
-            b = random_box(rng)
-            out = state_to_box(motion.init_state(b))
-            assert out.x == pytest.approx(b.x, abs=1e-9)
-            assert out.y == pytest.approx(b.y, abs=1e-9)
-            assert out.w == b.w
-            assert out.h == b.h
-
-    def test_example_center(self):
-        state = KalmanState(np.array([5.0, 5.0, 10.0, 10.0, 0, 0, 0, 0]), np.eye(8))
-        b = state_to_box(state)
-        assert (b.x, b.y, b.w, b.h) == (0.0, 0.0, 10.0, 10.0)
-
-    def test_degenerate_width_raises(self):
-        state = KalmanState(np.array([5.0, 5.0, 0.0, 10.0, 0, 0, 0, 0]), np.eye(8))
-        with pytest.raises(DegenerateStateError):
-            state_to_box(state)
-
     def test_stacked_init_equals_one_at_a_time_bitwise(self, motion, rng):
-        boxes = [random_box(rng, pos_range=100.0) for _ in range(50)]
-        stack = motion.init_state(np.array([(b.cx, b.cy, b.w, b.h) for b in boxes]))
+        z = np.array([center_form(random_box(rng, pos_range=100.0)) for _ in range(50)])
+        stack = motion.init_state(z)
         assert stack.mean.shape == (50, 8)
-        for i, b in enumerate(boxes):
-            single = motion.init_state(b)
+        for i in range(50):
+            single = motion.init_state(z[i])
             assert np.array_equal(stack.mean[i], single.mean)
             assert np.array_equal(stack.covariance[i], single.covariance)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from wintrack.trackers import (
     run_tracker,
 )
 
-from conftest import random_scenario
+from conftest import center_form, random_scenario
 from oracles import direction_cost_scalar
 
 
@@ -45,6 +46,13 @@ class TestConfigValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             TrackerConfig(kind="deepsort")
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_ocm_weight_rejected(self, weight):
+        # nan would switch the direction term off silently (nan > 0 is
+        # False); inf would make inf * 0 on the first association.
+        with pytest.raises(ValueError, match="ocm_weight"):
+            TrackerConfig(kind="ocsort", ocm_weight=weight)
 
 
 class TestAssociateIou:
@@ -275,9 +283,9 @@ class TestOcSort:
         assert [td.track_id for td in out] == [1]
 
         oracle = MotionFilter()
-        state = oracle.init_state(boxes[1].box)
+        state = oracle.init_state(center_form(boxes[1].box))
         for f in range(2, 10):
-            state = oracle.update(oracle.predict(state), boxes[f].box)
+            state = oracle.update(oracle.predict(state), center_form(boxes[f].box))
         track = t.tracks[0]
         assert np.allclose(track.state.mean, state.mean, atol=1e-8)
         assert np.allclose(track.state.covariance, state.covariance, atol=1e-8)

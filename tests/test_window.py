@@ -14,7 +14,6 @@ from wintrack.trackers import (
 )
 from wintrack.window import (
     UNMATCHED_ID_OFFSET,
-    WindowBuffer,
     WindowedTracker,
     run_windowed,
     select_best,
@@ -38,28 +37,22 @@ def sort_pair(k, **overrides):
 
 class TestSelectBest:
     def test_argmax_confidence(self):
-        buf = WindowBuffer(k=3)
-        buf.push(1, [tracked(1, 100, 100, 1, conf=0.5)])
-        buf.push(2, [tracked(2, 100, 100, 1, conf=0.9)])
-        buf.push(3, [tracked(3, 100, 100, 1, conf=0.7)])
-        best = select_best(buf)
+        best = select_best([tracked(1, 100, 100, 1, conf=0.5),
+                            tracked(2, 100, 100, 1, conf=0.9),
+                            tracked(3, 100, 100, 1, conf=0.7)])
         assert len(best) == 1
         assert best[0].confidence == 0.9
         assert best[0].frame == 2
 
     def test_one_entry_per_id(self):
-        buf = WindowBuffer(k=2)
-        buf.push(1, [tracked(1, 100, 100, 1, conf=0.6), tracked(1, 300, 100, 2, conf=0.8)])
-        buf.push(2, [tracked(2, 100, 100, 1, conf=0.7)])
-        best = select_best(buf)
+        best = select_best([tracked(1, 100, 100, 1, conf=0.6),
+                            tracked(1, 300, 100, 2, conf=0.8),
+                            tracked(2, 100, 100, 1, conf=0.7)])
         assert [td.track_id for td in best] == [1, 2]
         assert [td.confidence for td in best] == [0.7, 0.8]
 
     def test_ties_keep_earliest_frame(self):
-        buf = WindowBuffer(k=5)
-        for f in (3, 5):
-            buf.push(f, [tracked(f, 100 + f, 100, 1, conf=0.8)])
-        best = select_best(buf)
+        best = select_best([tracked(f, 100 + f, 100, 1, conf=0.8) for f in (3, 5)])
         assert best[0].frame == 3
 
 
@@ -94,6 +87,16 @@ class TestWindowing:
         wt.push_frame(5, [])
         with pytest.raises(ValueError, match="out-of-order"):
             wt.push_frame(5, [])
+
+    def test_rejected_push_leaves_window_open(self):
+        wt = sort_pair(3)
+        assert wt.push_frame(1, [det(1, 100, 100)]) is None
+        assert wt.push_frame(2, [det(2, 100, 100)]) is None
+        with pytest.raises(ValueError, match="out-of-order"):
+            wt.push_frame(2, [det(2, 100, 100)])
+        out = wt.push_frame(3, [det(3, 100, 100)])
+        assert out is not None
+        assert sorted(td.frame for td in out) == [1, 2, 3]
 
     def test_k_must_be_positive(self):
         cfg = TrackerConfig(kind="sort")
