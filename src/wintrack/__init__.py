@@ -8,7 +8,7 @@ engine (MOTA, MOTP, IDF1, HOTA), MOTChallenge file I/O, a synthetic
 scenario generator, and a CLI (``wintrack``).
 """
 
-from .assignment import AssignmentResult, solve
+from .assignment import solve
 from .geometry import BoundingBox, iou, iou_distance_matrix
 from .kalman import KalmanState, MotionFilter
 from .metrics import (
@@ -51,7 +51,6 @@ from .window import WindowedTracker, run_windowed, select_best
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentResult",
     "BoundingBox",
     "ByteTracker",
     "ClearCounts",

@@ -22,7 +22,6 @@ from .metrics import (
     UndefinedMetricError,
     evaluate,
     frames_from_records,
-    frames_from_tracked,
     report_csv,
     report_table,
 )
@@ -149,10 +148,6 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _evaluate_tracked(gt_frames, tracked):
-    return evaluate(gt_frames, frames_from_tracked(tracked))
-
-
 def cmd_eval(args) -> int:
     gt = read_ground_truth(args.gt)
     res = read_results(args.res)
@@ -169,11 +164,11 @@ _SWEEP_HEADER = ("l2", "k", "idf1", "hota", "mota", "motp")
 def _sweep_rows(detections, gt_frames, cfg_l1, cfg_l2, k_values):
     rows = []
     baseline = _run_configuration(detections, cfg_l1, None, 1)
-    report = _evaluate_tracked(gt_frames, baseline)
-    rows.append(("-", "-", report))
+    rows.append(("-", "-", evaluate(gt_frames, frames_from_records(baseline))))
     for k in k_values:
         tracked = _run_configuration(detections, cfg_l1, cfg_l2, k)
-        rows.append((cfg_l2.kind, str(k), _evaluate_tracked(gt_frames, tracked)))
+        rows.append((cfg_l2.kind, str(k),
+                     evaluate(gt_frames, frames_from_records(tracked))))
     return rows
 
 

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assignment import crowded, solve, solve_admissible
+from .assignment import crowded, solve
 from .geometry import BoundingBox, iou_matrix
 from .motio import MotRecord
 from .trackers import TrackedDetection
@@ -93,9 +93,9 @@ class IdentityCounts:
 
 @dataclass(frozen=True, eq=False)
 class HotaAccumulator:
-    """Per-alpha detection counts and summed association scores."""
+    """Detection counts and summed association scores, one per alpha of
+    HOTA_ALPHAS."""
 
-    alphas: tuple[float, ...]
     tp: np.ndarray
     fn: np.ndarray
     fp: np.ndarray
@@ -108,7 +108,7 @@ class HotaAccumulator:
 
     def ass_a_per_alpha(self) -> np.ndarray:
         return np.divide(self.ass_sum, self.tp,
-                         out=np.zeros(len(self.alphas)), where=self.tp > 0)
+                         out=np.zeros_like(self.ass_sum), where=self.tp > 0)
 
     def hota_per_alpha(self) -> np.ndarray:
         return np.sqrt(self.det_a_per_alpha() * self.ass_a_per_alpha())
@@ -117,10 +117,7 @@ class HotaAccumulator:
         return float(np.mean(self.hota_per_alpha()))
 
     def __add__(self, other: "HotaAccumulator") -> "HotaAccumulator":
-        if self.alphas != other.alphas:
-            raise ValueError("cannot pool accumulators with different alpha grids")
         return HotaAccumulator(
-            self.alphas,
             self.tp + other.tp,
             self.fn + other.fn,
             self.fp + other.fp,
@@ -148,8 +145,6 @@ def frames_from_records(records: Iterable[MotRecord | TrackedDetection]) -> Fram
         out.setdefault(r.frame, []).append((r.track_id, r.box))
     return dict(sorted(out.items()))
 
-
-frames_from_tracked = frames_from_records
 
 # One frame as every metric reads it: gt ids, pred ids, their gt x pred IoU.
 _PairedFrame = tuple[list[int], list[int], np.ndarray]
@@ -179,11 +174,12 @@ def _pair_frames(gt: FrameBoxes, pred: FrameBoxes) -> list[_PairedFrame]:
     return paired
 
 
-def _match_pairs(overlap: np.ndarray, threshold: float) -> list[tuple[int, int]]:
+def _match_pairs(overlap: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Max-cardinality matching over pairs with IoU >= threshold, breaking
-    ties toward the largest total IoU.  Every metric threshold is positive,
-    so a pair that does not overlap is never admitted."""
-    return list(solve_admissible(1.0 - overlap, overlap >= threshold).matches)
+    ties toward the largest total IoU: the matched rows, ascending, and their
+    columns.  Every metric threshold is positive, so a pair that does not
+    overlap is never admitted."""
+    return solve(1.0 - overlap, overlap >= threshold)
 
 
 def _clear(frames: list[_PairedFrame]) -> ClearCounts:
@@ -209,7 +205,8 @@ def _clear(frames: list[_PairedFrame]) -> ClearCounts:
         rest_p = [c for c, i in enumerate(p) if i not in taken_p]
         if rest_g and rest_p:
             rest = overlap[np.ix_(rest_g, rest_p)]
-            for r, c in _match_pairs(rest, CLEAR_IOU_THRESHOLD):
+            rows, cols = _match_pairs(rest, CLEAR_IOU_THRESHOLD)
+            for r, c in zip(rows.tolist(), cols.tolist()):
                 pairs.append((g[rest_g[r]], p[rest_p[c]], float(rest[r, c])))
 
         for gid, pid, s in pairs:
@@ -254,8 +251,11 @@ def _identity(frames: list[_PairedFrame]) -> IdentityCounts:
         matches[[gt_row[g[r]] for r in hit_g], [pred_col[p[c]] for c in hit_p]] += 1
     # Minimizing the negated match counts maximizes IDTP; pairing a
     # trajectory with a zero-match partner is equivalent to leaving it
-    # unpaired, so no dummy padding is needed.
-    idtp = int(sum(matches[r, c] for r, c in solve(-matches).matches))
+    # unpaired, so no dummy padding is needed.  Every pair stays
+    # admissible: admitting only pairs with matches would put the number of
+    # pairs before IDTP (a-x 10, a-y 1, b-x 1 would pair a-y and b-x).
+    rows, cols = solve(-matches, np.ones(matches.shape, dtype=bool))
+    idtp = int(matches[rows, cols].sum())
     return IdentityCounts(idtp=idtp,
                           idfp=sum(len(p) for _, p, _ in frames) - idtp,
                           idfn=sum(len(g) for g, _, _ in frames) - idtp)
@@ -288,7 +288,7 @@ def _hota(frames: list[_PairedFrame]) -> HotaAccumulator:
             # admits, so most frames need only the lowest alpha checked.
             if crowded(stack[0]):
                 for a in np.flatnonzero(crowded(stack)):
-                    rows, cols = np.array(_match_pairs(overlap, HOTA_ALPHAS[a])).T
+                    rows, cols = _match_pairs(overlap, HOTA_ALPHAS[a])
                     stack[a] = False
                     stack[a, rows, cols] = True
             a, r, c = np.nonzero(stack)
@@ -312,8 +312,7 @@ def _hota(frames: list[_PairedFrame]) -> HotaAccumulator:
     terms = count * (count / (gt_len[gi[first]] + pred_len[pi[first]] - count))
     ass_sum = np.zeros(n)
     np.add.at(ass_sum, alpha[first], terms)
-    return HotaAccumulator(HOTA_ALPHAS, tp, len(gt_rows) - tp, len(pred_rows) - tp,
-                           ass_sum)
+    return HotaAccumulator(tp, len(gt_rows) - tp, len(pred_rows) - tp, ass_sum)
 
 
 def hota(gt: FrameBoxes, pred: FrameBoxes) -> tuple[float, HotaAccumulator]:

@@ -24,7 +24,10 @@ detections into one (N, 4) box array and one (N,) confidence array,
 predicts every row in one Kalman call, masks out rows whose predicted
 size is not positive, associates on arrays, updates all matched rows in
 one call, starts all new tracks in one call and retires rows by one
-order-keeping compaction.  Only OC-SORT's recovery replay steps the
+order-keeping compaction.  Association takes the solver's matched rows
+and columns as index arrays, rows ascending; the unmatched tracks and
+detections are their complements, which keep ascending order, so tracks
+spawn in detection order.  Only OC-SORT's recovery replay steps the
 filter per track.  ``tracks`` gives a read-only snapshot of the table.
 """
 
@@ -32,11 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .assignment import AssignmentResult, solve, solve_admissible
+from .assignment import solve
 from .geometry import BoundingBox, Boxes, box_array, iou_distance_matrix
 from .kalman import KalmanState, MotionFilter
 
@@ -107,16 +111,14 @@ class TrackerConfig:
             raise ValueError(f"unknown tracker kind {self.kind!r}")
         if not 0.0 <= self.iou_gate <= 1.0:
             raise ValueError("iou_gate must be in [0, 1]")
-        if self.max_age < 1:
-            raise ValueError("max_age must be >= 1")
-        if self.min_hits < 1:
-            raise ValueError("min_hits must be >= 1")
+        for name in ("max_age", "min_hits", "ocm_delta_t"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.low_conf_threshold <= self.high_conf_threshold <= 1.0:
             raise ValueError("need 0 <= low_conf_threshold <= high_conf_threshold <= 1")
         if not 0.0 <= self.ocm_weight < math.inf:
             raise ValueError("ocm_weight must be finite and >= 0")
-        if self.ocm_delta_t < 1:
-            raise ValueError("ocm_delta_t must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -181,24 +183,17 @@ def _measurements(boxes: np.ndarray) -> np.ndarray:
 
 
 def associate_iou(track_boxes: Boxes, detection_boxes: Boxes,
-                  gate: float) -> AssignmentResult:
-    """Gated IoU-distance assignment of tracks (rows) to detections (cols).
+                  gate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gated IoU-distance assignment of tracks (rows) to detections (cols):
+    the matched rows, ascending, and their detections.
 
     With no tracks or no detections nothing can match, and neither IoU nor
     the solver is called.
     """
     if len(track_boxes) == 0 or len(detection_boxes) == 0:
-        return AssignmentResult((), tuple(range(len(track_boxes))),
-                                tuple(range(len(detection_boxes))), 0.0)
-    return solve(iou_distance_matrix(track_boxes, detection_boxes), gate=gate)
-
-
-def _indexed(result: AssignmentResult, rows: np.ndarray, cols: np.ndarray):
-    """A result's matched rows, matched cols, unmatched rows and unmatched
-    cols, mapped through the index arrays its matrix was built from."""
-    matches = np.array(result.matches, dtype=np.intp).reshape(-1, 2)
-    return (rows[matches[:, 0]], cols[matches[:, 1]],
-            rows[list(result.unmatched_rows)], cols[list(result.unmatched_cols)])
+        return _NO_INDEX, _NO_INDEX
+    dist = iou_distance_matrix(track_boxes, detection_boxes)
+    return solve(dist, dist <= gate)
 
 
 def direction_costs(headings: np.ndarray, displacements: np.ndarray) -> np.ndarray:
@@ -322,9 +317,8 @@ class SortTracker(_TrackerBase):
 
     def _associate(self, pred_boxes, valid, boxes, confidences):
         tracks = np.flatnonzero(valid)
-        result = associate_iou(pred_boxes[tracks], boxes, self.config.iou_gate)
-        rows, cols, _, spawn = _indexed(result, tracks, np.arange(len(boxes)))
-        return rows, cols, spawn
+        rows, cols = associate_iou(pred_boxes[tracks], boxes, self.config.iou_gate)
+        return tracks[rows], cols, np.delete(np.arange(len(boxes)), cols)
 
 
 class ByteTracker(_TrackerBase):
@@ -343,11 +337,11 @@ class ByteTracker(_TrackerBase):
                              & (confidences < cfg.high_conf_threshold))
         tracks = np.flatnonzero(valid)
 
-        first = associate_iou(pred_boxes[tracks], boxes[high], cfg.iou_gate)
-        rows, cols, leftovers, spawn = _indexed(first, tracks, high)
-        second = associate_iou(pred_boxes[leftovers], boxes[mid], cfg.iou_gate)
-        rows2, cols2, _, _ = _indexed(second, leftovers, mid)
-        return np.concatenate([rows, rows2]), np.concatenate([cols, cols2]), spawn
+        rows, cols = associate_iou(pred_boxes[tracks], boxes[high], cfg.iou_gate)
+        leftovers = np.delete(tracks, rows)
+        rows2, cols2 = associate_iou(pred_boxes[leftovers], boxes[mid], cfg.iou_gate)
+        return (np.concatenate([tracks[rows], leftovers[rows2]]),
+                np.concatenate([high[cols], mid[cols2]]), np.delete(high, cols))
 
 
 class OcSortTracker(_TrackerBase):
@@ -385,9 +379,8 @@ class OcSortTracker(_TrackerBase):
                                                            displacements)
         # Gate on the IoU distance alone; the direction term only ranks
         # candidates that already overlap enough.
-        result = solve_admissible(cost, dist <= cfg.iou_gate)
-        rows, cols, _, spawn = _indexed(result, tracks, np.arange(len(boxes)))
-        return rows, cols, spawn
+        rows, cols = solve(cost, dist <= cfg.iou_gate)
+        return tracks[rows], cols, np.delete(np.arange(len(boxes)), cols)
 
     def _updated(self, rows, z):
         state = super()._updated(rows, z)

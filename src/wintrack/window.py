@@ -24,9 +24,10 @@ untouched.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Optional, Sequence
 
-from .assignment import solve_admissible
+from .assignment import solve
 from .geometry import iou_matrix
 from .trackers import Detection, TrackedDetection, _TrackerBase
 
@@ -56,8 +57,8 @@ class WindowedTracker:
     """Composes a per-frame level-1 tracker with a per-window level-2 tracker."""
 
     def __init__(self, level1: _TrackerBase, level2: _TrackerBase, k: int):
-        if k < 1:
-            raise ValueError(f"window length k must be >= 1, got {k}")
+        if not isinstance(k, Integral) or k < 1:
+            raise ValueError(f"window length k must be an integer >= 1, got {k!r}")
         self.level1 = level1
         self.level2 = level2
         self.k = k
@@ -101,15 +102,14 @@ class WindowedTracker:
             [td.box for td in rows],
             [td.box for td in level2_out],
         )
+        level2_ids = [td.track_id for td in level2_out]
         corrected: list[TrackedDetection] = []
         start = 0
         for _, tracked in frames:
             block = overlap[start:start + len(tracked)]
             start += len(tracked)
-            id_map = {
-                r: level2_out[c].track_id
-                for r, c in solve_admissible(1.0 - block, block > 0.0).matches
-            }
+            matched, cols = solve(1.0 - block, block > 0.0)
+            id_map = {r: level2_ids[c] for r, c in zip(matched.tolist(), cols.tolist())}
             for idx, td in enumerate(tracked):
                 new_id = id_map.get(idx, UNMATCHED_ID_OFFSET + td.track_id)
                 corrected.append(TrackedDetection(td.detection, new_id))

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations, permutations
-from typing import Optional
 
 import numpy as np
 
-from wintrack.assignment import AssignmentResult, solve_admissible
+from wintrack.assignment import solve
 from wintrack.geometry import BoundingBox
 from wintrack.metrics import HOTA_ALPHAS
 
@@ -168,13 +167,24 @@ def idf1_bruteforce(gt_frames, pred_frames, threshold: float = 0.5):
     return score, idtp, idfp, idfn
 
 
-def solve_bruteforce(cost, gate: Optional[float] = None) -> AssignmentResult:
-    """Exhaustive-enumeration oracle with the contract of ``assignment.solve``:
-    among the one-to-one assignments of maximum cardinality over pairs with
-    cost <= gate (every pair with no gate), one of minimum total cost.
+def total_cost(cost, rows, cols) -> float:
+    """The summed cost of matching rows[i] to cols[i], added in row order so
+    that equal match sets give equal totals."""
+    m = np.asarray(cost, dtype=float)
+    total = 0.0
+    for r, c in sorted(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist())):
+        total += float(m[r, c])
+    return total
 
-    Totals are summed over row-sorted pairs.  Rejects matrices with either
-    dimension above BRUTEFORCE_MAX_DIM.
+
+def solve_bruteforce(cost, admissible=None) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive-enumeration oracle with the contract of ``assignment.solve``:
+    among the one-to-one assignments of maximum cardinality over admissible
+    pairs (every pair when no mask is given), one of minimum total cost, as
+    (rows, cols) index arrays with rows ascending.
+
+    Totals are compared as ``total_cost`` sums them.  Rejects matrices with
+    either dimension above BRUTEFORCE_MAX_DIM.
     """
     m = np.asarray(cost, dtype=float)
     if m.ndim != 2:
@@ -184,36 +194,25 @@ def solve_bruteforce(cost, gate: Optional[float] = None) -> AssignmentResult:
         raise ValueError(
             f"matrix {n_rows}x{n_cols} exceeds enumeration bound {BRUTEFORCE_MAX_DIM}"
         )
+    allowed = (np.ones(m.shape, dtype=bool) if admissible is None
+               else np.asarray(admissible, dtype=bool))
 
-    def result(pairs) -> AssignmentResult:
+    def result(pairs) -> tuple[np.ndarray, np.ndarray]:
         pairs = sorted(pairs)
-        rows = {r for r, _ in pairs}
-        cols = {c for _, c in pairs}
-        total = 0.0
-        for r, c in pairs:
-            total += float(m[r, c])
-        return AssignmentResult(
-            matches=tuple(pairs),
-            unmatched_rows=tuple(r for r in range(n_rows) if r not in rows),
-            unmatched_cols=tuple(c for c in range(n_cols) if c not in cols),
-            total_cost=total,
-        )
+        return (np.array([r for r, _ in pairs], dtype=np.intp),
+                np.array([c for _, c in pairs], dtype=np.intp))
 
-    allowed = np.ones_like(m, dtype=bool) if gate is None else m <= gate
     for k in range(min(n_rows, n_cols), 0, -1):
         best_pairs = None
         best_cost = None
         for row_subset in combinations(range(n_rows), k):
             for col_perm in permutations(range(n_cols), k):
-                pairs = list(zip(row_subset, col_perm))
-                if not all(allowed[r, c] for r, c in pairs):
+                if not all(allowed[r, c] for r, c in zip(row_subset, col_perm)):
                     continue
-                total = 0.0
-                for r, c in sorted(pairs):
-                    total += float(m[r, c])
+                total = total_cost(m, row_subset, col_perm)
                 if best_cost is None or total < best_cost:
                     best_cost = total
-                    best_pairs = pairs
+                    best_pairs = list(zip(row_subset, col_perm))
         if best_pairs is not None:
             return result(best_pairs)
     return result([])
@@ -237,11 +236,11 @@ def hota_per_alpha(frames):
 
     for g, p, overlap in frames:
         for a, alpha in enumerate(HOTA_ALPHAS):
-            matched = list(solve_admissible(1.0 - overlap, overlap >= alpha).matches)
-            tp[a] += len(matched)
-            fn[a] += len(g) - len(matched)
-            fp[a] += len(p) - len(matched)
-            for r, c in matched:
+            rows, cols = solve(1.0 - overlap, overlap >= alpha)
+            tp[a] += len(rows)
+            fn[a] += len(g) - len(rows)
+            fp[a] += len(p) - len(rows)
+            for r, c in zip(rows.tolist(), cols.tolist()):
                 pair_counts[a][(g[r], p[c])] += 1
 
     ass_sum = np.zeros(n)

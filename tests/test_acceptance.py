@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import ScalarKalman, grid_iou, idf1_bruteforce, solve_bruteforce
+from oracles import ScalarKalman, grid_iou, idf1_bruteforce, solve_bruteforce, total_cost
 from wintrack.assignment import solve
 from wintrack.cli import main
 from wintrack.geometry import BoundingBox, iou
@@ -21,7 +21,6 @@ from wintrack.kalman import KalmanState, MotionFilter
 from wintrack.metrics import (
     evaluate,
     frames_from_records,
-    frames_from_tracked,
     hota,
     idf1,
     match_clear,
@@ -63,11 +62,11 @@ def test_criterion_1_assignment_optimality():
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             m = np.array([[rng.random() for _ in range(cols)] for _ in range(rows)])
-            gate = rng.random() if trial % 2 else None
-            fast = solve(m, gate=gate)
-            slow = solve_bruteforce(m, gate=gate)
-            assert len(fast.matches) == len(slow.matches)
-            assert fast.total_cost == slow.total_cost
+            gate = rng.random() if trial % 2 else np.inf
+            fast = solve(m, m <= gate)
+            slow = solve_bruteforce(m, m <= gate)
+            assert len(fast[0]) == len(slow[0])
+            assert total_cost(m, *fast) == total_cost(m, *slow)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
@@ -202,12 +201,12 @@ def test_criterion_5_tracker_degeneracies(tmp_path):
 
 
 def _idf1_for(gt_frames, tracked):
-    score, _ = idf1(gt_frames, frames_from_tracked(tracked))
+    score, _ = idf1(gt_frames, frames_from_records(tracked))
     return score
 
 
 def _idsw_for(gt_frames, tracked):
-    return match_clear(gt_frames, frames_from_tracked(tracked)).idsw
+    return match_clear(gt_frames, frames_from_records(tracked)).idsw
 
 
 def _windowed_run(cfg_l1, cfg_l2, k, dets, last):

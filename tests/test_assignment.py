@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import solve_bruteforce
-from wintrack.assignment import solve, solve_admissible
+from oracles import solve_bruteforce, total_cost
+from wintrack.assignment import solve
 
 
 def random_matrix(rng: random.Random):
@@ -13,54 +13,89 @@ def random_matrix(rng: random.Random):
     return np.array([[rng.random() for _ in range(cols)] for _ in range(rows)])
 
 
+def every_pair(cost) -> np.ndarray:
+    return np.ones(np.shape(cost), dtype=bool)
+
+
+def pairs(rows, cols) -> list[tuple[int, int]]:
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def unmatched(n: int, matched) -> list[int]:
+    """The complement of matched in range(n), ascending."""
+    return np.delete(np.arange(n), matched).tolist()
+
+
+def assert_index_arrays(rows, cols):
+    """The contract callers index with: intp arrays of equal length, rows
+    strictly ascending."""
+    for a in (rows, cols):
+        assert isinstance(a, np.ndarray)
+        assert a.dtype == np.intp
+        assert a.ndim == 1
+    assert rows.shape == cols.shape
+    assert np.all(np.diff(rows) > 0)
+
+
 class TestSolve:
     def test_two_by_two_diagonal(self):
-        result = solve([[1.0, 2.0], [2.0, 1.0]])
-        assert set(result.matches) == {(0, 0), (1, 1)}
-        assert result.total_cost == 2.0
+        cost = [[1.0, 2.0], [2.0, 1.0]]
+        rows, cols = solve(cost, every_pair(cost))
+        assert set(pairs(rows, cols)) == {(0, 0), (1, 1)}
+        assert total_cost(cost, rows, cols) == 2.0
 
     def test_zero_matrix_matches_everything(self):
-        result = solve(np.zeros((4, 4)))
-        assert len(result.matches) == 4
-        assert result.total_cost == 0.0
-        assert result.unmatched_rows == ()
-        assert result.unmatched_cols == ()
+        cost = np.zeros((4, 4))
+        rows, cols = solve(cost, every_pair(cost))
+        assert len(rows) == 4
+        assert total_cost(cost, rows, cols) == 0.0
+        assert unmatched(4, rows) == []
+        assert unmatched(4, cols) == []
 
     def test_gate_excludes_single_pair(self):
-        result = solve([[0.9]], gate=0.5)
-        assert result.matches == ()
-        assert result.unmatched_rows == (0,)
-        assert result.unmatched_cols == (0,)
-        assert result.total_cost == 0.0
+        cost = np.array([[0.9]])
+        rows, cols = solve(cost, cost <= 0.5)
+        assert pairs(rows, cols) == []
+        assert unmatched(1, rows) == [0]
+        assert unmatched(1, cols) == [0]
+        assert total_cost(cost, rows, cols) == 0.0
 
     def test_gate_prefers_cardinality_over_cost(self):
         # Taking the cheap (0,0) pair alone would be cheaper than any full
         # matching, but it forces row 1 onto a forbidden pair; cardinality
         # must win before cost.
         cost = np.array([[0.1, 0.2], [0.15, 5.0]])
-        result = solve(cost, gate=1.0)
-        assert set(result.matches) == {(0, 1), (1, 0)}
-        assert result.total_cost == pytest.approx(0.35)
+        rows, cols = solve(cost, cost <= 1.0)
+        assert set(pairs(rows, cols)) == {(0, 1), (1, 0)}
+        assert total_cost(cost, rows, cols) == pytest.approx(0.35)
 
     def test_empty_matrix(self):
-        result = solve(np.zeros((0, 3)))
-        assert result.matches == ()
-        assert result.unmatched_cols == (0, 1, 2)
+        cost = np.zeros((0, 3))
+        rows, cols = solve(cost, every_pair(cost))
+        assert pairs(rows, cols) == []
+        assert unmatched(3, cols) == [0, 1, 2]
+        assert_index_arrays(rows, cols)
+        assert rows.shape == cols.shape == (0,)
+
+    def test_all_false_mask_matches_nothing(self):
+        rows, cols = solve(np.ones((3, 2)), np.zeros((3, 2), dtype=bool))
+        assert_index_arrays(rows, cols)
+        assert rows.shape == cols.shape == (0,)
 
     def test_admissible_mask_shape_must_match_cost(self):
         with pytest.raises(ValueError, match="shape"):
-            solve_admissible(np.zeros((2, 3)), np.ones((3, 2), dtype=bool))
+            solve(np.zeros((2, 3)), np.ones((3, 2), dtype=bool))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            solve([[np.inf]])
+            solve([[np.inf]], [[True]])
 
     def test_rectangular_full_cardinality(self, rng):
         for _ in range(50):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             m = np.array([[rng.random() for _ in range(cols)] for _ in range(rows)])
-            assert len(solve(m).matches) == min(rows, cols)
+            assert len(solve(m, every_pair(m))[0]) == min(rows, cols)
 
     def test_constant_shift_property(self, rng):
         # Dyadic entries keep float sums exact, so the stated identity is
@@ -70,62 +105,64 @@ class TestSolve:
             m = np.array([[rng.randrange(0, 256) / 64.0 for _ in range(n)]
                           for _ in range(n)])
             c = rng.randrange(-64, 64) / 64.0
-            base = solve(m)
-            shifted = solve(m + c)
-            assert shifted.total_cost == base.total_cost + n * c
-            assert len(shifted.matches) == n
+            base = total_cost(m, *solve(m, every_pair(m)))
+            rows, cols = solve(m + c, every_pair(m))
+            assert total_cost(m + c, rows, cols) == base + n * c
+            assert len(rows) == n
 
 
 class TestBruteforce:
     def test_two_by_two(self):
-        assert solve_bruteforce([[1.0, 2.0], [2.0, 1.0]]).total_cost == 2.0
+        cost = [[1.0, 2.0], [2.0, 1.0]]
+        assert total_cost(cost, *solve_bruteforce(cost)) == 2.0
 
     def test_single_entry(self):
-        result = solve_bruteforce([[3.5]])
-        assert result.matches == ((0, 0),)
-        assert result.total_cost == 3.5
+        rows, cols = solve_bruteforce([[3.5]])
+        assert pairs(rows, cols) == [(0, 0)]
+        assert total_cost([[3.5]], rows, cols) == 3.5
 
     def test_rectangular_cardinality(self):
-        result = solve_bruteforce([[5.0, 1.0, 2.0], [1.0, 5.0, 2.0]])
-        assert len(result.matches) == 2
+        rows, _ = solve_bruteforce([[5.0, 1.0, 2.0], [1.0, 5.0, 2.0]])
+        assert len(rows) == 2
 
     def test_rejects_large_matrices(self):
         with pytest.raises(ValueError):
             solve_bruteforce(np.zeros((9, 2)))
 
     def test_gate_reduces_cardinality(self):
-        result = solve_bruteforce([[0.2, 0.9], [0.8, 0.95]], gate=0.5)
-        assert result.matches == ((0, 0),)
-        assert result.unmatched_rows == (1,)
+        cost = np.array([[0.2, 0.9], [0.8, 0.95]])
+        rows, cols = solve_bruteforce(cost, cost <= 0.5)
+        assert pairs(rows, cols) == [(0, 0)]
+        assert unmatched(2, rows) == [1]
 
 
 class TestAgreement:
     def test_solvers_agree_on_random_matrices(self, rng):
         for trial in range(300):
             m = random_matrix(rng)
-            gate = rng.random() if trial % 2 else None
-            fast = solve(m, gate=gate)
-            slow = solve_bruteforce(m, gate=gate)
-            assert len(fast.matches) == len(slow.matches)
-            assert fast.total_cost == slow.total_cost
-            # The same matrix under a random admissible mask; the oracle sees
-            # inadmissible pairs as costs above a gate that admits all others.
+            gate = rng.random() if trial % 2 else np.inf
+            fast = solve(m, m <= gate)
+            slow = solve_bruteforce(m, m <= gate)
+            assert len(fast[0]) == len(slow[0])
+            assert total_cost(m, *fast) == total_cost(m, *slow)
+            # The same matrix under a random admissible mask.
             mask = np.random.default_rng(trial).random(m.shape) < 0.6
-            fast = solve_admissible(m, mask)
-            slow = solve_bruteforce(np.where(mask, m, 2.0), gate=1.0)
-            assert all(mask[r, c] for r, c in fast.matches)
-            assert len(fast.matches) == len(slow.matches)
-            assert fast.total_cost == slow.total_cost
+            fast = solve(m, mask)
+            slow = solve_bruteforce(m, mask)
+            assert all(mask[r, c] for r, c in pairs(*fast))
+            assert len(fast[0]) == len(slow[0])
+            assert total_cost(m, *fast) == total_cost(m, *slow)
 
     def test_result_partition_invariants(self, rng):
         for _ in range(100):
             m = random_matrix(rng)
-            result = solve(m, gate=0.7)
-            rows = sorted([r for r, _ in result.matches] + list(result.unmatched_rows))
-            cols = sorted([c for _, c in result.matches] + list(result.unmatched_cols))
-            assert rows == list(range(m.shape[0]))
-            assert cols == list(range(m.shape[1]))
-            assert result.total_cost == sum(m[r, c] for r, c in result.matches)
+            n_rows, n_cols = m.shape
+            rows, cols = solve(m, m <= 0.7)
+            assert_index_arrays(rows, cols)
+            assert sorted(rows.tolist() + unmatched(n_rows, rows)) == list(range(n_rows))
+            assert sorted(cols.tolist() + unmatched(n_cols, cols)) == list(range(n_cols))
+            assert len(set(cols.tolist())) == len(cols)
+            assert total_cost(m, rows, cols) == sum(m[r, c] for r, c in pairs(rows, cols))
 
 
 class TestUncontendedFastPath:
@@ -150,18 +187,29 @@ class TestUncontendedFastPath:
         calls = self._count_solver_calls(monkeypatch)
         cost = np.array([[0.9, 0.1, 0.5], [0.2, 0.8, 0.3]])
         mask = np.array([[False, False, True], [True, False, False]])
-        result = solve_admissible(cost, mask)
+        rows, cols = solve(cost, mask)
         assert calls == []
-        assert result.matches == ((0, 2), (1, 0))
-        assert all(type(i) is int for pair in result.matches for i in pair)
-        assert result.unmatched_rows == ()
-        assert result.unmatched_cols == (1,)
-        assert result.total_cost == 0.5 + 0.2
+        assert pairs(rows, cols) == [(0, 2), (1, 0)]
+        assert_index_arrays(rows, cols)
+        assert unmatched(2, rows) == []
+        assert unmatched(3, cols) == [1]
+        assert total_cost(cost, rows, cols) == 0.5 + 0.2
 
     def test_contended_mask_calls_the_solver(self, monkeypatch):
         calls = self._count_solver_calls(monkeypatch)
         cost = np.array([[0.9, 0.1], [0.2, 0.8]])
         mask = np.array([[True, True], [True, False]])
-        result = solve_admissible(cost, mask)
+        rows, cols = solve(cost, mask)
         assert len(calls) >= 1
-        assert result.matches == ((0, 1), (1, 0))
+        assert pairs(rows, cols) == [(0, 1), (1, 0)]
+        assert_index_arrays(rows, cols)
+
+    def test_scipy_path_returns_rows_ascending(self, monkeypatch):
+        # More rows than columns: scipy leaves some rows out, and the kept
+        # rows still ascend.
+        calls = self._count_solver_calls(monkeypatch)
+        cost = np.array([[0.5, 0.1], [0.1, 0.5], [0.2, 0.2], [0.05, 0.9]])
+        rows, cols = solve(cost, every_pair(cost))
+        assert len(calls) == 1
+        assert_index_arrays(rows, cols)
+        assert pairs(rows, cols) == [(0, 1), (3, 0)]

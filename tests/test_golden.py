@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from wintrack.metrics import evaluate, frames_from_records, frames_from_tracked
+from wintrack.metrics import evaluate, frames_from_records
 from wintrack.synth import (
     BUNDLED_SUITE,
     NoiseSpec,
@@ -164,6 +164,6 @@ def test_bundled_reports_unchanged():
         gt, dets = generate(bundled_scenario(name))
         gt_frames = frames_from_records(gt.evaluable())
         for l1, l2 in SOLO_AND_PAIRS:
-            report = evaluate(gt_frames, frames_from_tracked(_run(dets, l1, l2)))
+            report = evaluate(gt_frames, frames_from_records(_run(dets, l1, l2)))
             h.update(_report_line(report).encode())
     assert h.hexdigest()[:16] == REPORT_DIGEST

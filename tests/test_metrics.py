@@ -16,7 +16,6 @@ from wintrack.metrics import (
     evaluate,
     evaluate_sequences,
     frames_from_records,
-    frames_from_tracked,
     hota,
     idf1,
     match_clear,
@@ -131,6 +130,19 @@ class TestIdf1:
         score, counts = idf1(gt, {})
         assert score == 0.0
         assert counts.idtp == 0 and counts.idfn == 5
+
+    def test_more_matched_frames_beat_more_paired_trajectories(self):
+        # Pair counts a-x 10, a-y 1, b-x 1: pairing a-y and b-x pairs both
+        # trajectories but scores IDTP 2; a-x alone scores 10.
+        a, b, x, y = 1, 2, 11, 12
+        gt = {f: [(a, box(50, 50))] for f in range(1, 12)}
+        gt[12] = [(b, box(150, 50))]
+        pred = {f: [(x, box(50, 50))] for f in range(1, 11)}
+        pred[11] = [(y, box(50, 50))]
+        pred[12] = [(x, box(150, 50))]
+        _, counts = idf1(gt, pred)
+        assert (counts.idtp, counts.idfp, counts.idfn) == (10, 2, 2)
+        assert counts.idtp == idf1_bruteforce(gt, pred)[1]
 
     def test_matches_bruteforce_on_random_micro_instances(self):
         rng = random.Random(99)
@@ -283,7 +295,7 @@ class TestHotaOracle:
                 make_tracker(TrackerConfig(kind=kind)),
                 make_tracker(TrackerConfig(kind="bytetrack")), 3), dets)
             for out in (solo, windowed):
-                assert_hota_equals_oracle(gt_frames, frames_from_tracked(out))
+                assert_hota_equals_oracle(gt_frames, frames_from_records(out))
 
     def test_dense_crossing_windowed(self, monkeypatch):
         gt, dets = generate(dense_crossing_scenario())
@@ -292,7 +304,7 @@ class TestHotaOracle:
             make_tracker(TrackerConfig(kind="bytetrack")), 3), dets)
         calls = count_solver_calls(monkeypatch)
         assert_hota_equals_oracle(frames_from_records(gt.evaluable()),
-                                  frames_from_tracked(out))
+                                  frames_from_records(out))
         assert len(calls) > 100  # many crowded alphas are exercised
 
 
@@ -353,7 +365,7 @@ class TestEvaluate:
     def test_one_iou_matrix_per_frame(self, monkeypatch):
         gt, dets = generate(bundled_scenario("crossing"))
         gt_frames = frames_from_records(gt.evaluable())
-        pred = frames_from_tracked(
+        pred = frames_from_records(
             run_tracker(make_tracker(TrackerConfig(kind="sort")), dets))
         calls = []
 

@@ -3,7 +3,6 @@ import pytest
 from wintrack.metrics import (
     evaluate,
     frames_from_records,
-    frames_from_tracked,
     match_clear,
 )
 from wintrack.synth import (
@@ -87,7 +86,7 @@ class TestGenerate:
         tracker = make_tracker(TrackerConfig(kind="sort", min_hits=1))
         tracked = run_tracker(tracker, dets, gt.frame_count)
         report = evaluate(frames_from_records(gt.evaluable()),
-                          frames_from_tracked(tracked))
+                          frames_from_records(tracked))
         assert report.mota == pytest.approx(1.0, abs=1e-9)
         assert report.idf1 == pytest.approx(1.0, abs=1e-9)
 
@@ -183,7 +182,7 @@ class TestBundled:
         tracked = run_tracker(make_tracker(TrackerConfig(kind=kind)), dets,
                               gt.frame_count)
         counts = match_clear(frames_from_records(gt.evaluable()),
-                             frames_from_tracked(tracked))
+                             frames_from_records(tracked))
         assert counts.idsw >= 1
 
     def test_suite_names_resolve(self):

@@ -43,6 +43,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrackerConfig(min_hits=0)
 
+    @pytest.mark.parametrize("field", ["max_age", "min_hits", "ocm_delta_t"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    def test_non_integer_counts_rejected(self, field, value):
+        # nan passes a "< 1" check (nan < 1 is False): as max_age it retires
+        # every track, as min_hits it confirms none, and as ocm_delta_t it
+        # fails later when the observation ring is sized.
+        with pytest.raises(ValueError, match=field):
+            TrackerConfig(kind="ocsort", **{field: value})
+
+    def test_integer_counts_accepted(self):
+        cfg = TrackerConfig(max_age=np.int64(5), min_hits=1, ocm_delta_t=2)
+        assert (cfg.max_age, cfg.min_hits, cfg.ocm_delta_t) == (5, 1, 2)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             TrackerConfig(kind="deepsort")
@@ -58,19 +71,26 @@ class TestConfigValidation:
 class TestAssociateIou:
     def test_exact_overlap_matches(self):
         b = BoundingBox(10, 10, 30, 60)
-        result = associate_iou([b], [b], gate=0.7)
-        assert result.matches == ((0, 0),)
+        rows, cols = associate_iou([b], [b], gate=0.7)
+        assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0)]
 
     def test_distance_above_gate_leaves_both_unmatched(self):
         a = BoundingBox(0, 0, 10, 10)
         b = BoundingBox(9, 9, 10, 10)  # IoU 1/199, distance ~0.995
-        result = associate_iou([a], [b], gate=0.7)
-        assert result.matches == ()
-        assert result.unmatched_rows == (0,)
-        assert result.unmatched_cols == (0,)
+        rows, cols = associate_iou([a], [b], gate=0.7)
+        assert rows.tolist() == cols.tolist() == []
+        assert np.delete(np.arange(1), rows).tolist() == [0]
+        assert np.delete(np.arange(1), cols).tolist() == [0]
+
+    def test_no_tracks_or_no_detections_give_empty_index_arrays(self):
+        b = BoundingBox(10, 10, 30, 60)
+        for tracks, dets in (([], [b]), ([b], []), ([], [])):
+            rows, cols = associate_iou(tracks, dets, gate=0.7)
+            assert rows.dtype == cols.dtype == np.intp
+            assert rows.shape == cols.shape == (0,)
 
     def test_equals_gated_bruteforce_optimum(self, rng):
-        from oracles import solve_bruteforce
+        from oracles import solve_bruteforce, total_cost
         from wintrack.geometry import iou_distance_matrix
 
         from conftest import random_box
@@ -78,10 +98,11 @@ class TestAssociateIou:
         for _ in range(30):
             tracks = [random_box(rng) for _ in range(3)]
             dets = [random_box(rng) for _ in range(3)]
+            dist = iou_distance_matrix(tracks, dets)
             fast = associate_iou(tracks, dets, gate=0.7)
-            slow = solve_bruteforce(iou_distance_matrix(tracks, dets), gate=0.7)
-            assert fast.total_cost == slow.total_cost
-            assert len(fast.matches) == len(slow.matches)
+            slow = solve_bruteforce(dist, dist <= 0.7)
+            assert total_cost(dist, *fast) == total_cost(dist, *slow)
+            assert len(fast[0]) == len(slow[0])
 
 
 class TestStepContract:

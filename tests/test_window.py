@@ -1,9 +1,10 @@
+import math
 from collections import Counter
 
 import pytest
 
 from wintrack.geometry import BoundingBox
-from wintrack.metrics import frames_from_records, frames_from_tracked, match_clear
+from wintrack.metrics import frames_from_records, match_clear
 from wintrack.synth import bundled_scenario, generate
 from wintrack.trackers import (
     Detection,
@@ -102,6 +103,14 @@ class TestWindowing:
         cfg = TrackerConfig(kind="sort")
         with pytest.raises(ValueError):
             WindowedTracker(make_tracker(cfg), make_tracker(cfg), 0)
+
+    @pytest.mark.parametrize("k", [2.5, math.nan])
+    def test_k_must_be_an_integer(self, k):
+        # Such a k never equals the buffered frame count, so no window
+        # would close before flush.
+        cfg = TrackerConfig(kind="sort")
+        with pytest.raises(ValueError, match="window length k"):
+            WindowedTracker(make_tracker(cfg), make_tracker(cfg), k)
 
     def test_latency_bound(self):
         # frame t appears in the output of push ceil(t/k)*k (or flush)
@@ -228,14 +237,14 @@ class TestCorrection:
         gt_frames = frames_from_records(gt.evaluable())
         cfg = TrackerConfig(kind="sort", min_hits=1)
         baseline = run_tracker(make_tracker(cfg), dets, gt.frame_count)
-        base_idsw = match_clear(gt_frames, frames_from_tracked(baseline)).idsw
+        base_idsw = match_clear(gt_frames, frames_from_records(baseline)).idsw
         assert base_idsw >= 1
         for k in (2, 3):
             wt = WindowedTracker(
                 make_tracker(cfg),
                 make_tracker(TrackerConfig(kind="bytetrack", min_hits=1)), k)
             corrected = run_windowed(wt, dets, gt.frame_count)
-            corr_idsw = match_clear(gt_frames, frames_from_tracked(corrected)).idsw
+            corr_idsw = match_clear(gt_frames, frames_from_records(corrected)).idsw
             assert corr_idsw < base_idsw
             # the reappearing person keeps one id end to end
             gap_target = [td.track_id for td in corrected
