@@ -16,6 +16,7 @@ general weaving motion) ship as ``BUNDLED_SCENARIOS``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,8 +54,17 @@ class TargetSpec:
             raise ScenarioError("waypoint frames must be strictly increasing")
         if frames[0] < 1:
             raise ScenarioError("waypoint frames must be >= 1")
-        if self.width <= 0 or self.height <= 0:
-            raise ScenarioError("target box sides must be positive")
+        for _, cx, cy in self.waypoints:
+            if not (math.isfinite(cx) and math.isfinite(cy)):
+                raise ScenarioError(
+                    f"waypoint coordinates must be finite, got ({cx!r}, {cy!r})"
+                )
+        for name in ("width", "height"):
+            side = getattr(self, name)
+            if not 0 < side < math.inf:
+                raise ScenarioError(
+                    f"target {name} must be positive and finite, got {side!r}"
+                )
         for a, b in self.hidden:
             if a > b:
                 raise ScenarioError(f"hidden range {a}-{b} is empty")
@@ -90,8 +100,10 @@ class NoiseSpec:
     confidence_dips: tuple[tuple[int, int, int, float], ...] = ()
 
     def __post_init__(self):
-        if self.jitter_std < 0:
-            raise ScenarioError("jitter_std must be >= 0")
+        if not 0 <= self.jitter_std < math.inf:
+            raise ScenarioError(
+                f"jitter_std must be finite and >= 0, got {self.jitter_std!r}"
+            )
         if not 0.0 <= self.dropout <= 1.0:
             raise ScenarioError("dropout must be a probability")
         for t, a, b, p in self.dropout_windows:

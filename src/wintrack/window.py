@@ -10,9 +10,11 @@ as reference: one IoU matrix holds the level-1 boxes of all buffered
 frames against the window's level-2 boxes; each frame's rows of it are
 matched by IoU-distance assignment, admitting only pairs that overlap, and
 each matched level-1 box is relabeled with its level-2 id.  Level-1 boxes
-that match no level-2 box get a deterministic fresh id,
-UNMATCHED_ID_OFFSET plus their level-1 id; it cannot equal a level-2 id
-while level 2 has issued fewer than UNMATCHED_ID_OFFSET ids.
+that match no level-2 box get a deterministic fresh id.  The two namespaces
+are disjoint at any id count: level-2 ids up to UNMATCHED_ID_OFFSET and
+fresh ids UNMATCHED_ID_OFFSET plus a level-1 id below it are emitted as
+they are; above the offset, level-2 id n is emitted as 2n and level-1 id m
+as 2m + 1.
 
 Because level 2 steps once per window, a track it can hold for n of its own
 steps survives k*n source frames, which is what lets the corrected stream
@@ -31,9 +33,10 @@ from .assignment import solve
 from .geometry import iou_matrix
 from .trackers import Detection, TrackedDetection, _TrackerBase
 
-# Level-1 ids with no level-2 match are remapped to this offset plus their
-# original id, which stays readable and is apart from the level-2 ids only
-# while level 2 has issued fewer ids than the offset.
+# A level-1 id m with no level-2 match is emitted as this offset plus m, which
+# stays readable, while m is below the offset, and as 2m + 1 from the offset
+# on; level-2 ids above the offset are emitted doubled.  Fresh and level-2 ids
+# then never meet, however many ids either level issues.
 UNMATCHED_ID_OFFSET = 1_000_000
 
 
@@ -102,7 +105,8 @@ class WindowedTracker:
             [td.box for td in rows],
             [td.box for td in level2_out],
         )
-        level2_ids = [td.track_id for td in level2_out]
+        level2_ids = [n if n <= UNMATCHED_ID_OFFSET else 2 * n
+                      for n in (td.track_id for td in level2_out)]
         corrected: list[TrackedDetection] = []
         start = 0
         for _, tracked in frames:
@@ -111,7 +115,11 @@ class WindowedTracker:
             matched, cols = solve(1.0 - block, block > 0.0)
             id_map = {r: level2_ids[c] for r, c in zip(matched.tolist(), cols.tolist())}
             for idx, td in enumerate(tracked):
-                new_id = id_map.get(idx, UNMATCHED_ID_OFFSET + td.track_id)
+                new_id = id_map.get(idx)
+                if new_id is None:
+                    m = td.track_id
+                    new_id = (UNMATCHED_ID_OFFSET + m if m < UNMATCHED_ID_OFFSET
+                              else 2 * m + 1)
                 corrected.append(TrackedDetection(td.detection, new_id))
         return corrected
 

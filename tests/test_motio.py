@@ -5,6 +5,8 @@ import pytest
 from wintrack.geometry import BoundingBox
 from wintrack.motio import (
     MotFileError,
+    MotRecord,
+    SequenceData,
     read_detections,
     read_ground_truth,
     read_results,
@@ -213,3 +215,38 @@ class TestSynthFilesRoundTrip:
         assert len(seq.records) == len(gt.records)
         reread = read_detections(det_path)
         assert sum(len(v) for v in reread.values()) == sum(len(v) for v in dets.values())
+
+
+class TestRowCodec:
+    @pytest.mark.parametrize("id_text, problem", [
+        ("abc", "is not numeric"),
+        ("2.5", "must be an integer"),
+        ("inf", "must be finite"),
+    ])
+    def test_detection_id_column_is_checked(self, tmp_path, id_text, problem):
+        p = tmp_path / "det.txt"
+        p.write_text(f"1,{id_text},10,20,30,40,0.9\n")
+        with pytest.raises(MotFileError, match=rf"det\.txt: line 1: field 'id' {problem}"):
+            read_detections(p)
+
+    @pytest.mark.parametrize("reader, row, field", [
+        (read_detections, "0,-1,nan,20,30,40,0.9", "x"),
+        (read_results, "0,1,10,20,30,40,nan", "conf"),
+        (read_ground_truth, "1,0,0,0,10,10,1,1,nan", "visibility"),
+    ])
+    def test_two_fault_row_names_first_bad_field(self, tmp_path, reader, row, field):
+        # field syntax is checked across the row before frame and id ranges
+        p = tmp_path / "rows.txt"
+        p.write_text(row + "\n")
+        with pytest.raises(MotFileError, match=rf"line 1: field '{field}'"):
+            reader(p)
+
+    def test_detection_and_ground_truth_line_format(self, tmp_path):
+        box = BoundingBox(10.0, 20.5, 30.0, 40.25)
+        det_path = tmp_path / "det.txt"
+        gt_path = tmp_path / "gt.txt"
+        write_detections(det_path, {2: [Detection(2, box, 0.5)]})
+        write_ground_truth(gt_path, SequenceData(
+            "gt", 2, (MotRecord(2, 3, box, 1.0, 1, 0.75),)))
+        assert det_path.read_text() == "2,-1,10.00,20.50,30.00,40.25,0.500000,-1,-1,-1\n"
+        assert gt_path.read_text() == "2,3,10.00,20.50,30.00,40.25,1,1,0.75\n"

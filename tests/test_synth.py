@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wintrack.metrics import (
@@ -99,6 +101,25 @@ class TestValidation:
     def test_dropout_must_be_probability(self):
         with pytest.raises(ScenarioError):
             NoiseSpec(dropout=1.5)
+
+    @pytest.mark.parametrize("jitter_std", [math.nan, math.inf, -0.5])
+    def test_jitter_std_must_be_finite_and_non_negative(self, jitter_std):
+        with pytest.raises(ScenarioError, match="jitter_std"):
+            NoiseSpec(jitter_std=jitter_std)
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", math.nan), ("width", math.inf), ("height", math.nan),
+        ("height", -1.0),
+    ])
+    def test_box_side_must_be_finite_and_positive(self, field, value):
+        sides = {"width": 10.0, "height": 10.0, field: value}
+        with pytest.raises(ScenarioError, match=field):
+            TargetSpec(((1, 0.0, 0.0),), **sides)
+
+    @pytest.mark.parametrize("waypoint", [(1, math.nan, 100.0), (1, 0.0, -math.inf)])
+    def test_waypoint_coordinates_must_be_finite(self, waypoint):
+        with pytest.raises(ScenarioError, match="waypoint"):
+            TargetSpec((waypoint,), 10.0, 10.0)
 
     def test_noise_must_reference_existing_target(self):
         with pytest.raises(ScenarioError, match="unknown target"):

@@ -1,5 +1,5 @@
+import functools
 import math
-from collections import Counter
 
 import pytest
 
@@ -7,6 +7,7 @@ from wintrack.geometry import BoundingBox
 from wintrack.metrics import frames_from_records, match_clear
 from wintrack.synth import bundled_scenario, generate
 from wintrack.trackers import (
+    TRACKER_KINDS,
     Detection,
     TrackedDetection,
     TrackerConfig,
@@ -29,6 +30,45 @@ def det(frame, cx, cy, w=40.0, h=80.0, conf=1.0):
 
 def tracked(frame, cx, cy, track_id, conf=1.0):
     return TrackedDetection(det(frame, cx, cy, conf=conf), track_id)
+
+
+# Every level-1 x level-2 pairing at every tested window length, run at the
+# default configs on INVARIANT_SEEDS for the corrector's invariants.
+PAIRINGS = [(l1, l2, k) for l1 in TRACKER_KINDS for l2 in TRACKER_KINDS
+            for k in (1, 2, 3, 5)]
+INVARIANT_SEEDS = (11, 12)
+
+
+@functools.cache
+def scene(seed):
+    return generate(random_scenario(seed))
+
+
+def windowed(l1, l2, k, seed):
+    gt, dets = scene(seed)
+    wt = WindowedTracker(make_tracker(TrackerConfig(kind=l1)),
+                         make_tracker(TrackerConfig(kind=l2)), k)
+    return run_windowed(wt, dets, gt.frame_count)
+
+
+# Shared by the invariant tests, so each pairing runs once for all of them.
+windowed_once = functools.cache(windowed)
+
+
+@functools.cache
+def solo_content_by_frame(kind, seed):
+    gt, dets = scene(seed)
+    solo = run_tracker(make_tracker(TrackerConfig(kind=kind)), dets, gt.frame_count)
+    return content_by_frame(solo)
+
+
+def content_by_frame(rows):
+    """Each frame's boxes and confidences in emitted order, ids left out."""
+    out = {}
+    for td in rows:
+        b = td.box
+        out.setdefault(td.frame, []).append((b.x, b.y, b.w, b.h, td.confidence))
+    return out
 
 
 def sort_pair(k, **overrides):
@@ -184,50 +224,42 @@ class TestCorrection:
         assert ids_by_cx[100.0] == {1}  # level-2 id namespace starts at 1
         assert ids_by_cx[300.0] == {UNMATCHED_ID_OFFSET + 2}
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "fresh ids are UNMATCHED_ID_OFFSET + level-1 id and can equal a "
-        "level-2 id once level 2 has issued 1,000,000 ids; ROADMAP item 4"))
-    def test_fresh_id_never_equals_a_level2_id(self):
+    @pytest.mark.parametrize("l1_next, l2_next", [
+        (1, UNMATCHED_ID_OFFSET + 1),
+        (UNMATCHED_ID_OFFSET + 2, UNMATCHED_ID_OFFSET + 1),
+        (UNMATCHED_ID_OFFSET + 1, 2 * UNMATCHED_ID_OFFSET + 1),
+    ])
+    def test_fresh_id_never_equals_a_level2_id(self, l1_next, l2_next):
+        # the 0.3-confidence box is background to ByteTrack's level 2, so it
+        # keeps a fresh id while the 0.9 box takes level 2's next id
         l1 = make_tracker(TrackerConfig(kind="sort", min_hits=1))
         l2 = make_tracker(TrackerConfig(kind="bytetrack", min_hits=1))
-        l2._next_id = UNMATCHED_ID_OFFSET + 1
+        l1._next_id = l1_next
+        l2._next_id = l2_next
         wt = WindowedTracker(l1, l2, 1)
         out = wt.push_frame(1, [det(1, 100, 100, conf=0.3),
                                 det(1, 300, 100, conf=0.9)])
         assert len({td.track_id for td in out}) == len(out) == 2
 
-    def test_content_preserved_only_ids_change(self):
-        for seed in (11, 12):
-            gt, dets = generate(random_scenario(seed))
-            cfg = TrackerConfig(kind="sort", min_hits=1)
-            solo = run_tracker(make_tracker(cfg), dets, gt.frame_count)
-            wt = WindowedTracker(make_tracker(cfg),
-                                 make_tracker(TrackerConfig(kind="bytetrack",
-                                                            min_hits=1)), 3)
-            corrected = run_windowed(wt, dets, gt.frame_count)
-            key = lambda td: (td.frame, td.box.x, td.box.y, td.box.w, td.box.h,
-                              td.confidence)
-            assert Counter(map(key, solo)) == Counter(map(key, corrected))
+    @pytest.mark.parametrize("l1, l2, k", PAIRINGS)
+    def test_content_preserved_only_ids_change(self, l1, l2, k):
+        for seed in INVARIANT_SEEDS:
+            corrected = windowed_once(l1, l2, k, seed)
+            assert content_by_frame(corrected) == solo_content_by_frame(l1, seed)
 
-    def test_per_frame_id_injectivity(self):
-        gt, dets = generate(random_scenario(13))
-        wt = sort_pair(3)
-        out = run_windowed(wt, dets, gt.frame_count)
-        per_frame = {}
-        for td in out:
-            per_frame.setdefault(td.frame, []).append(td.track_id)
-        for ids in per_frame.values():
-            assert len(ids) == len(set(ids))
+    @pytest.mark.parametrize("l1, l2, k", PAIRINGS)
+    def test_per_frame_id_injectivity(self, l1, l2, k):
+        for seed in INVARIANT_SEEDS:
+            per_frame = {}
+            for td in windowed_once(l1, l2, k, seed):
+                per_frame.setdefault(td.frame, []).append(td.track_id)
+            for ids in per_frame.values():
+                assert len(ids) == len(set(ids))
 
-    def test_determinism(self):
-        gt, dets = generate(random_scenario(14))
-        runs = []
-        for _ in range(2):
-            wt = WindowedTracker(
-                make_tracker(TrackerConfig(kind="ocsort", min_hits=1)),
-                make_tracker(TrackerConfig(kind="bytetrack", min_hits=1)), 2)
-            runs.append(run_windowed(wt, dets, gt.frame_count))
-        assert runs[0] == runs[1]
+    @pytest.mark.parametrize("l1, l2, k", PAIRINGS)
+    def test_determinism(self, l1, l2, k):
+        for seed in INVARIANT_SEEDS:
+            assert windowed(l1, l2, k, seed) == windowed_once(l1, l2, k, seed)
 
     def test_id_switch_corrected_within_window(self):
         # the bundled scene where the per-frame tracker switches ids across a
