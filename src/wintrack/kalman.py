@@ -1,126 +1,80 @@
 """Constant-velocity Kalman filter over bounding-box motion state.
 
-The state is the 8-vector (cx, cy, w, h, vcx, vcy, vw, vh): box center,
-width and height, and their per-frame velocities.  Carrying width and
-height directly (rather than scale/aspect) means one filter serves every
-tracker in the package.  All operations are pure: they take a state and
-return a new one.  Measurements are (..., 4) arrays of (cx, cy, w, h): one
-row gives one state (mean (8,), covariance (8, 8)), N rows a stack of N
-(mean (N, 8), covariance (N, 8, 8)).  init_state, predict and update run
-the same arithmetic on every row at once, so a tracker steps all its live
-tracks in one call.
+The mean is the 8-vector (cx, cy, w, h, vcx, vcy, vw, vh): box center,
+width and height, and their per-frame velocities, so one filter serves
+every tracker in the package.  Operations are pure and take (..., 4)
+measurements of (cx, cy, w, h): one row gives one state, N rows a stack of
+N, so a tracker steps all its live tracks in one call.
 
-Noise is scale-adaptive: standard deviations are proportional to the box
-height, with weights h/20 for measured components and h/160 for velocities
-(a common convention for this family of filters).  The weights are module
-constants; predict/update accept explicit noise overrides.
+Noise is diagonal and scale-adaptive: standard deviations h/20 for
+measured components and h/160 for velocities, h the box height.  So no
+(component, velocity) pair is coupled to another, and the 8x8 covariance
+is four independent 2x2 blocks.  The covariance holds just those, shape
+(..., 3, 4): rows p00 (component variance), p01 (component-velocity
+covariance) and p11 (velocity variance); columns cx, cy, w and h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-STATE_DIM = 8
-MEASUREMENT_DIM = 4
 
 DEFAULT_POSITION_WEIGHT = 1.0 / 20.0
 DEFAULT_VELOCITY_WEIGHT = 1.0 / 160.0
 
-# Constant-velocity transition: position += velocity, size += size velocity.
-_F = np.eye(STATE_DIM)
-_F[:MEASUREMENT_DIM, MEASUREMENT_DIM:] = np.eye(MEASUREMENT_DIM)
-# Measurement picks out (cx, cy, w, h).
-_H = np.eye(MEASUREMENT_DIM, STATE_DIM)
-_DIAG = np.arange(STATE_DIM)
-# Per-component standard deviation per unit of box height.
-_NOISE_WEIGHTS = np.array([DEFAULT_POSITION_WEIGHT] * MEASUREMENT_DIM
-                          + [DEFAULT_VELOCITY_WEIGHT] * MEASUREMENT_DIM)
+# Standard deviation per unit of box height, per covariance row.
+_NOISE_WEIGHTS = np.array([[DEFAULT_POSITION_WEIGHT] * 4, [0.0] * 4,
+                           [DEFAULT_VELOCITY_WEIGHT] * 4])
 
 
 @dataclass(frozen=True)
 class KalmanState:
     mean: np.ndarray        # shape (..., 8)
-    covariance: np.ndarray  # shape (..., 8, 8), each symmetric PSD
-
-
-def _transposed(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m, -1, -2)
-
-
-def _symmetrized(p: np.ndarray) -> np.ndarray:
-    return (p + _transposed(p)) / 2.0
+    covariance: np.ndarray  # shape (..., 3, 4): p00, p01, p11 per component
 
 
 def _noise(h) -> np.ndarray:
-    """Height-scaled diagonal covariance, one per height: (..., 8, 8)."""
-    std = _NOISE_WEIGHTS * np.asarray(h, dtype=float)[..., None]
-    noise = np.zeros(std.shape + (STATE_DIM,))
-    noise[..., _DIAG, _DIAG] = std ** 2
-    return noise
+    """Height-scaled diagonal noise as blocks, one per height: (..., 3, 4)."""
+    return (_NOISE_WEIGHTS * np.asarray(h, dtype=float)[..., None, None]) ** 2
 
 
 class MotionFilter:
     """Predict/update engine; holds no state of its own or of any track."""
 
     def init_state(self, measurement: np.ndarray) -> KalmanState:
-        """State centered on the measurement with zero initial velocity.
-
-        A (4,) row of (cx, cy, w, h) gives one state; an (N, 4) array of
-        rows gives a stack of N.
-        """
+        """State centered on the measurement with zero initial velocity."""
         z = np.asarray(measurement, dtype=float)
-        mean = np.zeros(z.shape[:-1] + (STATE_DIM,))
-        mean[..., :MEASUREMENT_DIM] = z
+        mean = np.zeros(z.shape[:-1] + (8,))
+        mean[..., :4] = z
         return KalmanState(mean=mean, covariance=_noise(z[..., 3]))
 
-    def predict(
-        self, state: KalmanState, process_noise: Optional[np.ndarray] = None
-    ) -> KalmanState:
-        """One constant-velocity step: F x, F P Fᵀ + Q, for one state or a stack.
-
-        Q defaults to the height-scaled diagonal computed from the prior
-        mean; pass process_noise (8x8) to override.
-        """
-        if process_noise is None:
-            q = _noise(state.mean[..., 3])
-        else:
-            q = np.asarray(process_noise, dtype=float)
-        mean = state.mean @ _F.T
-        covariance = _symmetrized(_F @ state.covariance @ _F.T + q)
+    def predict(self, state: KalmanState) -> KalmanState:
+        """One constant-velocity step, Q from the prior mean's height."""
+        x, p = state.mean, state.covariance
+        mean = x.copy()
+        mean[..., :4] += x[..., 4:]
+        # F P Fᵀ per block: F P = (p00 + p01, p01 + p11, p11); Fᵀ adds row 1 to row 0.
+        covariance = p.copy()
+        covariance[..., :2, :] += p[..., 1:, :]
+        covariance[..., 0, :] += covariance[..., 1, :]
+        covariance += _noise(x[..., 3])
         return KalmanState(mean=mean, covariance=covariance)
 
-    def update(
-        self,
-        state: KalmanState,
-        measurement: np.ndarray,
-        measurement_noise: Optional[np.ndarray] = None,
-    ) -> KalmanState:
-        """Standard measurement update against (cx, cy, w, h).
+    def update(self, state: KalmanState, measurement: np.ndarray) -> KalmanState:
+        """Measurement update, R from the measured height.
 
-        A single state takes a (4,) row; a stack of N states takes an
-        (N, 4) array of rows.  R defaults to the height-scaled diagonal
-        from the measurement; pass measurement_noise (4x4) to override.
-        The posterior covariance is formed in Joseph form and
-        re-symmetrized, so symmetry and positive semidefiniteness hold by
-        construction.
+        With gains k0 = p00/s and k1 = p01/s, s = p00 + r, the posterior
+        block is (k0 r, k1 r, p11 - k1 p01).  Its determinant is r/s times
+        the prior's, so the block stays positive semidefinite.
         """
         z = np.asarray(measurement, dtype=float)
-        if measurement_noise is None:
-            r = _noise(z[..., 3])[..., :MEASUREMENT_DIM, :MEASUREMENT_DIM]
-        else:
-            r = np.asarray(measurement_noise, dtype=float)
-        p = state.covariance
-        # H picks the first four state components, so H x, H P and H P Hᵀ
-        # are slices.
-        innovation = z - state.mean[..., :MEASUREMENT_DIM]
-        s = p[..., :MEASUREMENT_DIM, :MEASUREMENT_DIM] + r
-        gain = _transposed(np.linalg.solve(s, p[..., :MEASUREMENT_DIM, :]))
-        mean = state.mean + (gain @ innovation[..., None])[..., 0]
-        i_kh = np.eye(STATE_DIM) - gain @ _H
-        covariance = _symmetrized(
-            i_kh @ p @ _transposed(i_kh) + gain @ r @ _transposed(gain)
-        )
+        x, p = state.mean, state.covariance
+        r = (DEFAULT_POSITION_WEIGHT * z[..., 3, None, None]) ** 2
+        gain = p[..., :2, :] / (p[..., :1, :] + r)
+        innovation = z - x[..., :4]
+        mean = x + (gain * innovation[..., None, :]).reshape(x.shape)
+        covariance = np.empty_like(p)
+        covariance[..., :2, :] = gain * r
+        covariance[..., 2, :] = p[..., 2, :] - gain[..., 1, :] * p[..., 1, :]
         return KalmanState(mean=mean, covariance=covariance)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +124,10 @@ class Scenario:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        if self.frame_count < 1:
-            raise ScenarioError("frame_count must be >= 1")
+        if not isinstance(self.frame_count, Integral) or self.frame_count < 1:
+            raise ScenarioError(
+                f"frame_count must be an integer >= 1, got {self.frame_count!r}"
+            )
         n = len(self.targets)
         for t, *_ in (*self.noise.dropout_windows, *self.noise.confidence_dips):
             if t > n:
@@ -241,16 +244,14 @@ def load_scenario(path) -> Scenario:
     def check_keys(section: str, allowed: set[str]):
         for key in parser[section]:
             if key not in allowed:
-                raise ScenarioError(
-                    f"{path}: unknown key {key!r} in section [{section}]"
-                )
+                raise ScenarioError(f"unknown key {key!r} in section [{section}]")
 
     try:
         check_keys("scenario", _SCENARIO_KEYS)
         sc = parser["scenario"]
         name = sc.get("name", Path(path).stem)
         seed = sc.getint("seed", 0)
-        frames = sc.getint("frames")  # required; missing key raises below
+        frames = sc.getint("frames")  # required: None fails Scenario's check
 
         targets = []
         for i in range(1, len(target_sections) + 1):
@@ -258,16 +259,12 @@ def load_scenario(path) -> Scenario:
             check_keys(section, _TARGET_KEYS)
             tc = parser[section]
             if "waypoints" not in tc or "width" not in tc or "height" not in tc:
-                raise ScenarioError(
-                    f"{path}: [{section}] needs waypoints, width and height"
-                )
+                raise ScenarioError(f"[{section}] needs waypoints, width and height")
             waypoints = []
             for token in _tokens(tc["waypoints"]):
                 parts = token.split(":")
                 if len(parts) != 3:
-                    raise ScenarioError(
-                        f"{path}: waypoint {token!r} should be frame:cx:cy"
-                    )
+                    raise ScenarioError(f"waypoint {token!r} should be frame:cx:cy")
                 waypoints.append((int(parts[0]), float(parts[1]), float(parts[2])))
             hidden = tuple(_parse_range(t) for t in _tokens(tc.get("hidden", "")))
             targets.append(TargetSpec(tuple(waypoints), tc.getfloat("width"),
@@ -288,13 +285,12 @@ def load_scenario(path) -> Scenario:
             noise = NoiseSpec(nc.getfloat("jitter_std", 0.0),
                               nc.getfloat("dropout", 0.0),
                               tuple(windows), tuple(dips))
+        return Scenario(name=name, seed=seed, frame_count=frames,
+                        targets=tuple(targets), noise=noise)
     except (ValueError, configparser.Error) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
+        # Every error in the file's content, the specs' own checks included,
+        # names the file once.
         raise ScenarioError(f"{path}: {exc}") from exc
-
-    return Scenario(name=name, seed=seed, frame_count=frames,
-                    targets=tuple(targets), noise=noise)
 
 
 # --- bundled scenes -----------------------------------------------------------

@@ -17,18 +17,18 @@ detections are associated to existing tracks:
   linearly interpolated virtual observations across the gap.
 
 A tracker holds its live tracks as one table of arrays, one row per track
-in creation order: ids, the Kalman mean and covariance now and at the
-last update, a ring of the last ocm_delta_t + 1 observed boxes, and the
-frames-since-update and hit-streak counters.  A step turns the frame's
-detections into one (N, 4) box array and one (N,) confidence array,
-predicts every row in one Kalman call, masks out rows whose predicted
-size is not positive, associates on arrays, updates all matched rows in
-one call, starts all new tracks in one call and retires rows by one
-order-keeping compaction.  Association takes the solver's matched rows
-and columns as index arrays, rows ascending; the unmatched tracks and
-detections are their complements, which keep ascending order, so tracks
-spawn in detection order.  Only OC-SORT's recovery replay steps the
-filter per track.  ``tracks`` gives a read-only snapshot of the table.
+in creation order: ids, the Kalman mean (T, 8) and covariance blocks
+(T, 3, 4) now and at the last update, a ring of the last ocm_delta_t + 1
+observed boxes, and the frames-since-update and hit-streak counters.  A
+step turns the frame's detections into one (N, 4) box array and one (N,)
+confidence array, predicts every row in one Kalman call, masks out rows
+whose predicted size is not positive, associates on arrays, updates all
+matched rows in one call, starts all new tracks in one call and retires
+rows by one order-keeping compaction.  Association takes the solver's
+matched rows and columns as index arrays, rows ascending; the unmatched
+tracks and detections are their complements, which keep ascending order,
+so tracks spawn in detection order.  Only OC-SORT's recovery replay steps
+the filter per track.  ``tracks`` gives a read-only snapshot of the table.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ class _TrackTable:
 
     ids: np.ndarray        # (T,)
     mean: np.ndarray       # (T, 8) Kalman mean and covariance
-    cov: np.ndarray        # (T, 8, 8)
+    cov: np.ndarray        # (T, 3, 4) per-component 2x2 blocks
     mean_upd: np.ndarray   # (T, 8) mean and covariance at the last update
-    cov_upd: np.ndarray    # (T, 8, 8)
+    cov_upd: np.ndarray    # (T, 3, 4)
     obs: np.ndarray        # (T, L, 4) observed (x, y, w, h)
     n_obs: np.ndarray      # (T,) observations made
     since: np.ndarray      # (T,) frames since the last update

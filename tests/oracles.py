@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately dumb: counting grids, hand-expanded 2x2
-matrix algebra, exhaustive enumeration.  None of it shares code with the
-implementations under test, except ``hota_per_alpha``: it keeps the
-package's solver, itself checked against ``solve_bruteforce``, and runs it
-at every alpha of every frame, so it checks what HOTA skips around it.
+matrix algebra, the Kalman filter as full 8x8 matrices, exhaustive
+enumeration.  None of it shares code with the implementations under test,
+except ``hota_per_alpha``: it keeps the package's solver, itself checked
+against ``solve_bruteforce``, and runs it at every alpha of every frame, so
+it checks what HOTA skips around it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations, permutations
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -109,10 +111,100 @@ class ScalarKalman:
             [q00 * a00 + k0 * r * k0, q01 - q00 * k1 + k0 * r * k1],
             [q10 * a00 + k1 * r * k0, q11 - q10 * k1 + k1 * r * k1],
         ]
-        # mirror the (P + P^T)/2 symmetrization the tested filter applies
+        # keep the block symmetric, as DenseKalman's (P + P^T)/2 does
         m01 = (self.p[0][1] + self.p[1][0]) / 2.0
         self.p[0][1] = self.p[1][0] = m01
 
+
+class DenseState(NamedTuple):
+    mean: np.ndarray        # shape (..., 8)
+    covariance: np.ndarray  # shape (..., 8, 8), each symmetric PSD
+
+
+class DenseKalman:
+    """The constant-velocity filter written out as full 8x8 matrix algebra.
+
+    Same state, noise and measurement conventions as ``MotionFilter``, but
+    with an explicit transition F, measurement matrix H, a linear solve for
+    the gain and a Joseph-form posterior, so it assumes nothing about the
+    covariance's block structure.  predict/update accept explicit noise
+    overrides (8x8 and 4x4).
+    """
+
+    STATE_DIM = 8
+    MEASUREMENT_DIM = 4
+    # Constant-velocity transition: position += velocity, size += size velocity.
+    _F = np.eye(STATE_DIM)
+    _F[:MEASUREMENT_DIM, MEASUREMENT_DIM:] = np.eye(MEASUREMENT_DIM)
+    # Measurement picks out (cx, cy, w, h).
+    _H = np.eye(MEASUREMENT_DIM, STATE_DIM)
+    _DIAG = np.arange(STATE_DIM)
+    # Per-component standard deviation per unit of box height.
+    _NOISE_WEIGHTS = np.array([1.0 / 20.0] * MEASUREMENT_DIM
+                              + [1.0 / 160.0] * MEASUREMENT_DIM)
+
+    @staticmethod
+    def _transposed(m: np.ndarray) -> np.ndarray:
+        return np.swapaxes(m, -1, -2)
+
+    @classmethod
+    def _symmetrized(cls, p: np.ndarray) -> np.ndarray:
+        return (p + cls._transposed(p)) / 2.0
+
+    @classmethod
+    def _noise(cls, h) -> np.ndarray:
+        """Height-scaled diagonal covariance, one per height: (..., 8, 8)."""
+        std = cls._NOISE_WEIGHTS * np.asarray(h, dtype=float)[..., None]
+        noise = np.zeros(std.shape + (cls.STATE_DIM,))
+        noise[..., cls._DIAG, cls._DIAG] = std ** 2
+        return noise
+
+    def init_state(self, measurement: np.ndarray) -> DenseState:
+        z = np.asarray(measurement, dtype=float)
+        mean = np.zeros(z.shape[:-1] + (self.STATE_DIM,))
+        mean[..., :self.MEASUREMENT_DIM] = z
+        return DenseState(mean=mean, covariance=self._noise(z[..., 3]))
+
+    def predict(self, state: DenseState,
+                process_noise: Optional[np.ndarray] = None) -> DenseState:
+        """F x, F P Fᵀ + Q; Q defaults to the noise of the prior height."""
+        if process_noise is None:
+            q = self._noise(state.mean[..., 3])
+        else:
+            q = np.asarray(process_noise, dtype=float)
+        mean = state.mean @ self._F.T
+        covariance = self._symmetrized(self._F @ state.covariance @ self._F.T + q)
+        return DenseState(mean=mean, covariance=covariance)
+
+    def update(self, state: DenseState, measurement: np.ndarray,
+               measurement_noise: Optional[np.ndarray] = None) -> DenseState:
+        """Gain by linear solve, Joseph-form posterior, re-symmetrized."""
+        m = self.MEASUREMENT_DIM
+        z = np.asarray(measurement, dtype=float)
+        if measurement_noise is None:
+            r = self._noise(z[..., 3])[..., :m, :m]
+        else:
+            r = np.asarray(measurement_noise, dtype=float)
+        p = state.covariance
+        innovation = z - state.mean[..., :m]
+        s = p[..., :m, :m] + r
+        gain = self._transposed(np.linalg.solve(s, p[..., :m, :]))
+        mean = state.mean + (gain @ innovation[..., None])[..., 0]
+        i_kh = np.eye(self.STATE_DIM) - gain @ self._H
+        covariance = self._symmetrized(
+            i_kh @ p @ self._transposed(i_kh) + gain @ r @ self._transposed(gain)
+        )
+        return DenseState(mean=mean, covariance=covariance)
+
+    @staticmethod
+    def expanded(blocks: np.ndarray) -> np.ndarray:
+        """(..., 3, 4) per-component blocks to the full (..., 8, 8) matrix."""
+        c = np.arange(4)
+        full = np.zeros(blocks.shape[:-2] + (8, 8))
+        full[..., c, c] = blocks[..., 0, :]
+        full[..., c, c + 4] = full[..., c + 4, c] = blocks[..., 1, :]
+        full[..., c + 4, c + 4] = blocks[..., 2, :]
+        return full
 
 def idf1_bruteforce(gt_frames, pred_frames, threshold: float = 0.5):
     """IDF1 by enumerating every injective trajectory pairing.

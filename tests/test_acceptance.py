@@ -17,7 +17,12 @@ from oracles import ScalarKalman, grid_iou, idf1_bruteforce, solve_bruteforce, t
 from wintrack.assignment import solve
 from wintrack.cli import main
 from wintrack.geometry import BoundingBox, iou
-from wintrack.kalman import KalmanState, MotionFilter
+from wintrack.kalman import (
+    DEFAULT_POSITION_WEIGHT,
+    DEFAULT_VELOCITY_WEIGHT,
+    KalmanState,
+    MotionFilter,
+)
 from wintrack.metrics import (
     evaluate,
     frames_from_records,
@@ -96,43 +101,41 @@ def test_criterion_3_kalman_oracles():
             x0 = rng.uniform(-100, 100)
             v0 = rng.uniform(-5, 5)
             p = [[rng.uniform(0.2, 5.0), 0.0], [0.0, rng.uniform(0.2, 5.0)]]
-            q_pos = rng.uniform(0.01, 1.0)
-            q_vel = rng.uniform(0.001, 0.1)
-            r = rng.uniform(0.05, 2.0)
             oracle = ScalarKalman(x0, v0, p)
             mean = np.zeros(8)
-            mean[0], mean[4] = x0, v0
-            cov = np.zeros((8, 8))
-            cov[0, 0], cov[4, 4] = p[0][0], p[1][1]
+            mean[0], mean[3], mean[4] = x0, rng.uniform(2.0, 30.0), v0
+            cov = np.zeros((3, 4))
+            cov[0, 0], cov[2, 0] = p[0][0], p[1][1]
             state = KalmanState(mean, cov)
-            q_full = np.zeros((8, 8))
-            q_full[0, 0], q_full[4, 4] = q_pos, q_vel
-            r_full = np.eye(4) * r
             for _ in range(rng.randint(3, 15)):
-                oracle.predict(q_pos, q_vel)
-                state = motion.predict(state, process_noise=q_full)
+                # q comes from the prior height and r from the measured one.
+                h = state.mean[3]
+                oracle.predict((DEFAULT_POSITION_WEIGHT * h) ** 2,
+                               (DEFAULT_VELOCITY_WEIGHT * h) ** 2)
+                state = motion.predict(state)
                 z = oracle.x + rng.uniform(-3, 3)
-                oracle.update(z, r)
-                state = motion.update(state, np.array([z, 0.0, 1.0, 1.0]),
-                                      measurement_noise=r_full)
+                measurement = np.array([z, 0.0, 1.0, rng.uniform(4.0, 30.0)])
+                oracle.update(z, (DEFAULT_POSITION_WEIGHT * measurement[3]) ** 2)
+                state = motion.update(state, measurement)
                 assert abs(state.mean[0] - oracle.x) <= 1e-10
                 assert abs(state.mean[4] - oracle.v) <= 1e-10
                 assert abs(state.covariance[0, 0] - oracle.p[0][0]) <= 1e-10
-                assert abs(state.covariance[0, 4] - oracle.p[0][1]) <= 1e-10
-                assert abs(state.covariance[4, 4] - oracle.p[1][1]) <= 1e-10
+                assert abs(state.covariance[1, 0] - oracle.p[0][1]) <= 1e-10
+                assert abs(state.covariance[2, 0] - oracle.p[1][1]) <= 1e-10
+
+        def assert_blocks_psd(cov):
+            p00, p01, p11 = cov
+            assert np.min(p00) >= 0 and np.min(p11) >= 0
+            assert np.min(p00 * p11 - p01 ** 2) >= -1e-9
 
         state = motion.init_state(np.array([15.0, 30.0, 30.0, 60.0]))
         for _ in range(1000):
             state = motion.predict(state)
-            cov = state.covariance
-            assert np.max(np.abs(cov - cov.T)) <= 1e-9
-            assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
+            assert_blocks_psd(state.covariance)
             z = center_form(BoundingBox(rng.uniform(-5, 5), rng.uniform(-5, 5),
                                         rng.uniform(20, 40), rng.uniform(50, 70)))
             state = motion.update(state, z)
-            cov = state.covariance
-            assert np.max(np.abs(cov - cov.T)) <= 1e-9
-            assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
+            assert_blocks_psd(state.covariance)
 
 
 def test_criterion_4_metrics_exactness():

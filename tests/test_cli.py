@@ -220,20 +220,23 @@ class TestSynthCommand:
         ("width", "inf", "width"),
         ("height", "nan", "height"),
         ("waypoints", "1:nan:100", "waypoint"),
+        ("frames", "0", "frame_count"),
     ])
     def test_non_finite_scenario_value_is_data_error(self, tmp_path, capsys,
                                                      key, value, named):
-        values = {"waypoints": "1:50:50 10:70:50", "width": "20", "height": "40",
-                  "jitter_std": "0", key: value}
+        values = {"frames": "10", "waypoints": "1:50:50 10:70:50", "width": "20",
+                  "height": "40", "jitter_std": "0", key: value}
         cfg = tmp_path / "scene.ini"
         cfg.write_text(
-            "[scenario]\nframes = 10\n"
+            "[scenario]\nframes = {frames}\n"
             "[target 1]\nwaypoints = {waypoints}\nwidth = {width}\nheight = {height}\n"
             "[noise]\njitter_std = {jitter_std}\n".format(**values)
         )
         code = main(["synth", "--scenario", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 3
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert str(cfg) in err
 
     def test_unknown_bundled_name_is_data_error(self, tmp_path):
         code = main(["synth", "--scenario", "not-a-scene",

@@ -121,6 +121,11 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="waypoint"):
             TargetSpec((waypoint,), 10.0, 10.0)
 
+    @pytest.mark.parametrize("frame_count", [math.nan, 2.5, 0, "10"])
+    def test_frame_count_must_be_an_integer_at_least_one(self, frame_count):
+        with pytest.raises(ScenarioError, match="frame_count"):
+            plain_scenario(frame_count=frame_count)
+
     def test_noise_must_reference_existing_target(self):
         with pytest.raises(ScenarioError, match="unknown target"):
             plain_scenario(noise=NoiseSpec(confidence_dips=((9, 1, 2, 0.5),)))
@@ -191,6 +196,12 @@ confidence_dips = 1:20-22:0.3
             "[target 1]\nwaypoints = 1:1\nwidth = 5\nheight = 5\n"
         )
         with pytest.raises(ScenarioError, match="frame:cx:cy"):
+            load_scenario(p)
+
+    def test_missing_frames_key_is_scenario_error(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text("[scenario]\nseed = 1\n")
+        with pytest.raises(ScenarioError, match="bad.ini: frame_count"):
             load_scenario(p)
 
 
