@@ -9,11 +9,9 @@ scenario generator, and a CLI (``wintrack``).
 """
 
 from .assignment import solve
-from .geometry import BoundingBox, iou, iou_distance_matrix
-from .kalman import KalmanState, MotionFilter
+from .geometry import BoundingBox, iou_distance_matrix
 from .metrics import (
     ClearCounts,
-    HotaAccumulator,
     IdentityCounts,
     MetricsReport,
     UndefinedMetricError,
@@ -36,38 +34,29 @@ from .motio import (
 )
 from .synth import NoiseSpec, Scenario, ScenarioError, TargetSpec, generate
 from .trackers import (
-    ByteTracker,
     Detection,
-    OcSortTracker,
-    SortTracker,
     TrackedDetection,
     TrackerConfig,
     Tracklet,
     make_tracker,
     run_tracker,
 )
-from .window import WindowedTracker, run_windowed, select_best
+from .window import WindowedTracker, run_windowed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
-    "ByteTracker",
     "ClearCounts",
     "Detection",
-    "HotaAccumulator",
     "IdentityCounts",
-    "KalmanState",
     "MetricsReport",
     "MotFileError",
     "MotRecord",
-    "MotionFilter",
     "NoiseSpec",
-    "OcSortTracker",
     "Scenario",
     "ScenarioError",
     "SequenceData",
-    "SortTracker",
     "TargetSpec",
     "TrackedDetection",
     "TrackerConfig",
@@ -79,7 +68,6 @@ __all__ = [
     "generate",
     "hota",
     "idf1",
-    "iou",
     "iou_distance_matrix",
     "make_tracker",
     "match_clear",
@@ -90,7 +78,6 @@ __all__ = [
     "read_results",
     "run_tracker",
     "run_windowed",
-    "select_best",
     "solve",
     "write_results",
 ]

@@ -233,7 +233,7 @@ def build_parser() -> _Parser:
     p_track.add_argument("--l2", choices=LEVEL2_KINDS,
                          help="window-rate tracker; enables windowed correction")
     p_track.add_argument("-k", type=_positive_int, default=None,
-                         help=f"window length in frames (default {DEFAULT_K})")
+                         help=f"window length in frames, with --l2 (default {DEFAULT_K})")
     p_track.add_argument("--config", help="INI file with [l1]/[l2] overrides")
     p_track.set_defaults(func=cmd_track)
 
@@ -269,6 +269,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "k", None) is not None and args.l2 is None:
+            parser.error("argument -k: a window length needs --l2")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -30,36 +30,8 @@ class BoundingBox:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")
 
-    @property
-    def right(self) -> float:
-        return self.x + self.w
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.h
-
-    @property
-    def cx(self) -> float:
-        return self.x + self.w / 2.0
-
-    @property
-    def cy(self) -> float:
-        return self.y + self.h / 2.0
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def translated(self, dx: float, dy: float) -> "BoundingBox":
         return BoundingBox(self.x + dx, self.y + dy, self.w, self.h)
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, in [0, 1].
-
-    Touching boxes (zero-area intersection) score 0, equal boxes exactly 1.
-    """
-    return float(iou_matrix([a], [b])[0, 0])
 
 
 Boxes = Union[Sequence[BoundingBox], np.ndarray]
@@ -81,8 +53,9 @@ def iou_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
     """IoU of every row box against every column box, shape (len(rows), len(cols)).
 
     Either side is a sequence of boxes or an (N, 4) array of (x, y, w, h)
-    rows.  Each entry is iou(rows[i], cols[j]); swapping the arguments
-    transposes the result exactly.
+    rows.  Each entry lies in [0, 1]: touching boxes (zero-area
+    intersection) score 0 and equal boxes exactly 1.  Swapping the
+    arguments transposes the result exactly.
     """
     ax, ay, aw, ah = _columns(rows)[:, :, None]
     bx, by, bw, bh = _columns(cols)[:, None, :]
@@ -96,7 +69,7 @@ def iou_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
 
 
 def iou_distance_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
-    """Association cost matrix with entry (i, j) = 1 - iou(rows[i], cols[j]).
+    """Association cost matrix: 1 - iou_matrix(rows, cols).
 
     Either side may be empty; the result then has a zero-length dimension.
     All entries lie in [0, 1].

@@ -34,7 +34,7 @@ multi-sequence aggregation pools raw counts (never averages of scores):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -59,8 +59,16 @@ class UndefinedMetricError(ValueError):
     """A score's denominator is empty (e.g. MOTA without ground truth)."""
 
 
+class _Pooled:
+    """Counts that pool field by field: each field of a + b is a.f + b.f."""
+
+    def __add__(self, other):
+        return type(self)(*(getattr(self, f.name) + getattr(other, f.name)
+                            for f in fields(self)))
+
+
 @dataclass(frozen=True)
-class ClearCounts:
+class ClearCounts(_Pooled):
     gt_det: int
     tp: int
     fp: int
@@ -68,31 +76,16 @@ class ClearCounts:
     idsw: int
     similarity_sum: float
 
-    def __add__(self, other: "ClearCounts") -> "ClearCounts":
-        return ClearCounts(
-            self.gt_det + other.gt_det,
-            self.tp + other.tp,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.idsw + other.idsw,
-            self.similarity_sum + other.similarity_sum,
-        )
-
 
 @dataclass(frozen=True)
-class IdentityCounts:
+class IdentityCounts(_Pooled):
     idtp: int
     idfp: int
     idfn: int
 
-    def __add__(self, other: "IdentityCounts") -> "IdentityCounts":
-        return IdentityCounts(
-            self.idtp + other.idtp, self.idfp + other.idfp, self.idfn + other.idfn
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class HotaAccumulator:
+class HotaAccumulator(_Pooled):
     """Detection counts and summed association scores, one per alpha of
     HOTA_ALPHAS."""
 
@@ -115,14 +108,6 @@ class HotaAccumulator:
 
     def score(self) -> float:
         return float(np.mean(self.hota_per_alpha()))
-
-    def __add__(self, other: "HotaAccumulator") -> "HotaAccumulator":
-        return HotaAccumulator(
-            self.tp + other.tp,
-            self.fn + other.fn,
-            self.fp + other.fp,
-            self.ass_sum + other.ass_sum,
-        )
 
 
 @dataclass(frozen=True, eq=False)

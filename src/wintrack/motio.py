@@ -183,8 +183,8 @@ def _write(path, rows: Iterable[tuple[int, int, BoundingBox, str]]) -> None:
             )
 
 
-def write_results(path, tracked: Sequence[TrackedDetection]) -> None:
-    """Write tracked detections as MOT result rows.
+def write_results(path, tracked: Sequence[TrackedDetection | MotRecord]) -> None:
+    """Write tracked detections, or result records, as MOT result rows.
 
     Input must be sorted by (frame, id) with no duplicates.  Geometry is
     written with 2 decimals and confidence with 6; reading the file back

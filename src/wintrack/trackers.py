@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,26 +64,17 @@ class Detection:
 
 @dataclass(frozen=True)
 class TrackedDetection:
-    """A detection bound to a track id."""
+    """One output row: a detection's frame, box and confidence under a track
+    id.  The fields match MotRecord's first four."""
 
-    detection: Detection
+    frame: int
     track_id: int
+    box: BoundingBox
+    confidence: float
 
     def __post_init__(self):
         if self.track_id < 1:
             raise ValueError(f"track id must be >= 1, got {self.track_id}")
-
-    @property
-    def frame(self) -> int:
-        return self.detection.frame
-
-    @property
-    def box(self) -> BoundingBox:
-        return self.detection.box
-
-    @property
-    def confidence(self) -> float:
-        return self.detection.confidence
 
 
 @dataclass
@@ -119,6 +110,8 @@ class TrackerConfig:
             raise ValueError("need 0 <= low_conf_threshold <= high_conf_threshold <= 1")
         if not 0.0 <= self.ocm_weight < math.inf:
             raise ValueError("ocm_weight must be finite and >= 0")
+        if not isinstance(self.oru_enabled, bool):
+            raise ValueError(f"oru_enabled must be a bool, got {self.oru_enabled!r}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +120,6 @@ class Tracklet:
     ocm_delta_t + 1 observed boxes at most, oldest first."""
 
     id: int
-    state: KalmanState
     history: tuple[BoundingBox, ...]
     frames_since_update: int
     hit_streak: int
@@ -230,7 +222,7 @@ class _TrackerBase:
     def tracks(self) -> list[Tracklet]:
         """A snapshot of the live tracks, in creation order."""
         t, n = self._table, self._history_len
-        return [Tracklet(i, KalmanState(t.mean[r].copy(), t.cov[r].copy()),
+        return [Tracklet(i,
                          tuple(BoundingBox(*b) for b in t.obs[r, -min(k, n):].tolist()),
                          since, streak)
                 for r, (i, k, since, streak) in enumerate(
@@ -280,7 +272,7 @@ class _TrackerBase:
         t.streak = np.where(t.since == 0, t.streak + 1, 0)
 
         ids, streak, min_hits = t.ids.tolist(), t.streak.tolist(), self.config.min_hits
-        emitted = [TrackedDetection(dets[c], ids[r])
+        emitted = [TrackedDetection(frame, ids[r], dets[c].box, dets[c].confidence)
                    for r, c in zip(rows.tolist(), cols.tolist()) if streak[r] >= min_hits]
 
         if len(spawn):
@@ -289,7 +281,7 @@ class _TrackerBase:
             t = t.extend(_TrackTable.new(new_ids, self._filter.init_state(z[spawn]),
                                          boxes[spawn], self._history_len))
             if min_hits <= 1:
-                emitted += [TrackedDetection(dets[c], i)
+                emitted += [TrackedDetection(frame, i, dets[c].box, dets[c].confidence)
                             for c, i in zip(spawn.tolist(), new_ids.tolist())]
 
         keep = t.since <= self.config.max_age
@@ -423,14 +415,11 @@ def make_tracker(config: TrackerConfig) -> _TrackerBase:
 
 
 def run_tracker(
-    tracker: _TrackerBase,
-    detections_by_frame: dict[int, list[Detection]],
-    last_frame: Optional[int] = None,
+    tracker: _TrackerBase, detections_by_frame: dict[int, list[Detection]]
 ) -> list[TrackedDetection]:
-    """Step a tracker over frames 1..last_frame, including empty frames."""
-    if last_frame is None:
-        last_frame = max(detections_by_frame, default=0)
+    """Step a tracker over frames 1 to the last detection frame, including
+    empty frames."""
     out: list[TrackedDetection] = []
-    for f in range(1, last_frame + 1):
+    for f in range(1, max(detections_by_frame, default=0) + 1):
         out.extend(tracker.step(f, detections_by_frame.get(f, [])))
     return out

@@ -120,20 +120,18 @@ class WindowedTracker:
                     m = td.track_id
                     new_id = (UNMATCHED_ID_OFFSET + m if m < UNMATCHED_ID_OFFSET
                               else 2 * m + 1)
-                corrected.append(TrackedDetection(td.detection, new_id))
+                corrected.append(
+                    TrackedDetection(td.frame, new_id, td.box, td.confidence))
         return corrected
 
 
 def run_windowed(
-    tracker: WindowedTracker,
-    detections_by_frame: dict[int, list[Detection]],
-    last_frame: Optional[int] = None,
+    tracker: WindowedTracker, detections_by_frame: dict[int, list[Detection]]
 ) -> list[TrackedDetection]:
-    """Push frames 1..last_frame (empty frames included) and flush the tail."""
-    if last_frame is None:
-        last_frame = max(detections_by_frame, default=0)
+    """Push frames 1 to the last detection frame (empty frames included) and
+    flush the tail."""
     out: list[TrackedDetection] = []
-    for f in range(1, last_frame + 1):
+    for f in range(1, max(detections_by_frame, default=0) + 1):
         emitted = tracker.push_frame(f, detections_by_frame.get(f, []))
         if emitted:
             out.extend(emitted)

@@ -20,7 +20,7 @@ def random_box(rng: random.Random, pos_range=30.0, side_lo=10.0, side_hi=30.0):
 
 def center_form(box: BoundingBox) -> np.ndarray:
     """A box as the filter's (cx, cy, w, h) measurement row."""
-    return np.array([box.cx, box.cy, box.w, box.h])
+    return np.array([box.x + box.w / 2.0, box.y + box.h / 2.0, box.w, box.h])
 
 
 def random_scenario(seed: int) -> Scenario:

@@ -50,14 +50,14 @@ def iou_scalar(a: BoundingBox, b: BoundingBox) -> float:
         return 1.0
     if (b.x, b.y, b.w, b.h) < (a.x, a.y, a.w, a.h):
         a, b = b, a
-    iw = min(a.right, b.right) - max(a.x, b.x)
+    iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
     if iw <= 0:
         return 0.0
-    ih = min(a.bottom, b.bottom) - max(a.y, b.y)
+    ih = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
     if ih <= 0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return inter / (a.w * a.h + b.w * b.h - inter)
 
 
 def direction_cost_scalar(u: tuple[float, float], v: tuple[float, float]) -> float:

@@ -16,7 +16,7 @@ import pytest
 from oracles import ScalarKalman, grid_iou, idf1_bruteforce, solve_bruteforce, total_cost
 from wintrack.assignment import solve
 from wintrack.cli import main
-from wintrack.geometry import BoundingBox, iou
+from wintrack.geometry import BoundingBox, iou_matrix
 from wintrack.kalman import (
     DEFAULT_POSITION_WEIGHT,
     DEFAULT_VELOCITY_WEIGHT,
@@ -86,11 +86,11 @@ def test_criterion_2_iou_oracle():
 
         for _ in range(1000):
             a, b = rb(), rb()
-            v = iou(a, b)
+            v = iou_matrix([a], [b])[0, 0]
             assert abs(v - grid_iou(a, b)) <= 1e-3
-            assert v == iou(b, a)
+            assert v == iou_matrix([b], [a])[0, 0]
             assert 0.0 <= v <= 1.0
-        assert iou(rb(), rb().translated(1000.0, 0.0)) == 0.0
+        assert iou_matrix([rb()], [rb().translated(1000.0, 0.0)])[0, 0] == 0.0
 
 
 def test_criterion_3_kalman_oracles():
@@ -166,16 +166,15 @@ def test_criterion_4_metrics_exactness():
 def test_criterion_5_tracker_degeneracies(tmp_path):
     with criterion(5, "collapsed ByteTrack == SORT, neutered OC-SORT == SORT (byte-for-byte x20); ORU replay to 1e-8"):
         for seed in range(20):
-            gt, dets = generate(random_scenario(1000 + seed))
-            last = gt.frame_count
-            sort_out = run_tracker(SortTracker(TrackerConfig(kind="sort")), dets, last)
+            _, dets = generate(random_scenario(1000 + seed))
+            sort_out = run_tracker(SortTracker(TrackerConfig(kind="sort")), dets)
             byte_out = run_tracker(
                 ByteTracker(TrackerConfig(kind="bytetrack",
                                           high_conf_threshold=0.0,
-                                          low_conf_threshold=0.0)), dets, last)
+                                          low_conf_threshold=0.0)), dets)
             oc_out = run_tracker(
                 OcSortTracker(TrackerConfig(kind="ocsort", ocm_weight=0.0,
-                                            oru_enabled=False)), dets, last)
+                                            oru_enabled=False)), dets)
 
             def rendered(tracked, name):
                 path = tmp_path / name
@@ -198,9 +197,9 @@ def test_criterion_5_tracker_degeneracies(tmp_path):
         state = motion.init_state(center_form(boxes[1].box))
         for f in range(2, 10):
             state = motion.update(motion.predict(state), center_form(boxes[f].box))
-        track = tracker.tracks[0]
-        assert np.max(np.abs(track.state.mean - state.mean)) <= 1e-8
-        assert np.max(np.abs(track.state.covariance - state.covariance)) <= 1e-8
+        assert [track.id for track in tracker.tracks] == [1]
+        assert np.max(np.abs(tracker._table.mean[0] - state.mean)) <= 1e-8
+        assert np.max(np.abs(tracker._table.cov[0] - state.covariance)) <= 1e-8
 
 
 def _idf1_for(gt_frames, tracked):
@@ -212,40 +211,38 @@ def _idsw_for(gt_frames, tracked):
     return match_clear(gt_frames, frames_from_records(tracked)).idsw
 
 
-def _windowed_run(cfg_l1, cfg_l2, k, dets, last):
+def _windowed_run(cfg_l1, cfg_l2, k, dets):
     wt = WindowedTracker(make_tracker(cfg_l1), make_tracker(cfg_l2), k)
-    return run_windowed(wt, dets, last)
+    return run_windowed(wt, dets)
 
 
 def test_criterion_6_window_correction():
     with criterion(6, "id-switch scene: windowed k=2,3 strictly fewer IDSW and higher IDF1 than baseline"):
         gt, dets = generate(bundled_scenario("idswitch"))
         gt_frames = frames_from_records(gt.evaluable())
-        last = gt.frame_count
         cfg_l1 = TrackerConfig(kind="sort", min_hits=1)
         cfg_l2 = TrackerConfig(kind="bytetrack", min_hits=1)
-        baseline = run_tracker(make_tracker(cfg_l1), dets, last)
+        baseline = run_tracker(make_tracker(cfg_l1), dets)
         base_idsw = _idsw_for(gt_frames, baseline)
         base_idf1 = _idf1_for(gt_frames, baseline)
         assert base_idsw >= 1
         for k in (2, 3):
-            corrected = _windowed_run(cfg_l1, cfg_l2, k, dets, last)
+            corrected = _windowed_run(cfg_l1, cfg_l2, k, dets)
             assert _idsw_for(gt_frames, corrected) < base_idsw
             assert _idf1_for(gt_frames, corrected) > base_idf1
 
 
 def test_criterion_7_state_holding_ratio():
     with criterion(7, "12-frame occlusion: SORT max_age=5 re-ids, windowed k=3 preserves the id"):
-        gt, dets = generate(bundled_scenario("occlusion"))
-        last = gt.frame_count
+        _, dets = generate(bundled_scenario("occlusion"))
         cfg = TrackerConfig(kind="sort", max_age=5, min_hits=1)
-        solo = run_tracker(make_tracker(cfg), dets, last)
+        solo = run_tracker(make_tracker(cfg), dets)
         pre = {td.track_id for td in solo if td.frame < 25}
         post = {td.track_id for td in solo if td.frame > 36}
         assert pre.isdisjoint(post)
 
         corrected = _windowed_run(cfg, TrackerConfig(kind="sort", max_age=5,
-                                                     min_hits=1), 3, dets, last)
+                                                     min_hits=1), 3, dets)
         pre = {td.track_id for td in corrected if td.frame < 25}
         post = {td.track_id for td in corrected if td.frame > 36}
         assert pre == post and len(pre) == 1
@@ -258,9 +255,8 @@ def test_criterion_8_k_degradation_direction():
         for name in BUNDLED_SUITE:
             gt, dets = generate(bundled_scenario(name))
             gt_frames = frames_from_records(gt.evaluable())
-            last = gt.frame_count
             scores = {
-                k: _idf1_for(gt_frames, _windowed_run(cfg_l1, cfg_l2, k, dets, last))
+                k: _idf1_for(gt_frames, _windowed_run(cfg_l1, cfg_l2, k, dets))
                 for k in (2, 3, 10)
             }
             assert scores[10] <= max(scores[2], scores[3]) + 1e-12, (name, scores)
@@ -271,31 +267,23 @@ def test_criterion_9_io_stability_and_content_preservation(tmp_path):
         rng = random.Random(20249)
         for i in range(50):
             gt, _ = generate(random_scenario(2000 + i))
-            rows = [
-                TrackedDetection(
-                    Detection(r.frame, r.box, round(rng.random(), 6)), r.track_id)
-                for r in gt.records
-            ]
+            rows = [TrackedDetection(r.frame, r.track_id, r.box, round(rng.random(), 6))
+                    for r in gt.records]
             rows.sort(key=lambda td: (td.frame, td.track_id))
             first = tmp_path / f"a{i}.txt"
             second = tmp_path / f"b{i}.txt"
             write_results(first, rows)
-            reread = [
-                TrackedDetection(Detection(r.frame, r.box, r.confidence), r.track_id)
-                for r in read_results(first).records
-            ]
-            write_results(second, reread)
+            write_results(second, read_results(first).records)
             assert first.read_bytes() == second.read_bytes()
 
         key = lambda td: (td.frame, td.box.x, td.box.y, td.box.w, td.box.h,
                           td.confidence)
         for name in BUNDLED_SUITE:
-            gt, dets = generate(bundled_scenario(name))
-            last = gt.frame_count
+            _, dets = generate(bundled_scenario(name))
             cfg = TrackerConfig(kind="sort", min_hits=1)
-            solo = run_tracker(make_tracker(cfg), dets, last)
+            solo = run_tracker(make_tracker(cfg), dets)
             corrected = _windowed_run(cfg, TrackerConfig(kind="bytetrack",
-                                                         min_hits=1), 3, dets, last)
+                                                         min_hits=1), 3, dets)
             assert Counter(map(key, solo)) == Counter(map(key, corrected))
 
 

@@ -40,6 +40,16 @@ class TestTrack:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_k_without_l2_is_usage_error(self, scene_files, tmp_path, capsys):
+        # A window length only means something under a level-2 tracker.
+        _, det_path = scene_files
+        out = tmp_path / "r.txt"
+        code = main(["track", "--det", str(det_path), "--l1", "sort",
+                     "-k", "7", "--out", str(out)])
+        assert code == 1
+        assert "--l2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_detections_is_io_error(self, tmp_path):
         code = main(["track", "--det", str(tmp_path / "missing.txt"),
                      "--l1", "sort", "--out", str(tmp_path / "r.txt")])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_iou, iou_scalar
-from wintrack.geometry import BoundingBox, iou, iou_distance_matrix, iou_matrix
+from wintrack.geometry import BoundingBox, iou_distance_matrix, iou_matrix
 
 from conftest import random_box
 
@@ -23,44 +23,41 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(0, math.inf, 1, 1)
 
-    def test_derived_coordinates(self):
-        b = BoundingBox(10, 20, 4, 8)
-        assert (b.cx, b.cy) == (12, 24)
-        assert (b.right, b.bottom) == (14, 28)
-        assert b.area == 32
-
-
 class TestIou:
+    """One pair at a time: each check reads the 1x1 iou_matrix."""
+
     def test_identical_boxes(self):
         b = BoundingBox(0, 0, 10, 10)
-        assert iou(b, b) == 1.0
+        assert iou_matrix([b], [b])[0, 0] == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 1, 1)) == 0.0
+        m = iou_matrix([BoundingBox(0, 0, 1, 1)], [BoundingBox(5, 5, 1, 1)])
+        assert m[0, 0] == 0.0
 
     def test_touching_boxes_score_zero(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(1, 0, 1, 1)) == 0.0
+        m = iou_matrix([BoundingBox(0, 0, 1, 1)], [BoundingBox(1, 0, 1, 1)])
+        assert m[0, 0] == 0.0
 
     def test_quarter_overlap(self):
         # unit intersection, union 7: frozen from the grid-counting oracle
         a = BoundingBox(0, 0, 2, 2)
         b = BoundingBox(1, 1, 2, 2)
-        assert iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
+        assert iou_matrix([a], [b])[0, 0] == pytest.approx(1 / 7, abs=1e-12)
         assert grid_iou(a, b, n=2 ** 14) == pytest.approx(1 / 7, abs=1e-3)
 
     def test_symmetry_is_exact(self, rng):
         for _ in range(200):
             a = random_box(rng)
             b = random_box(rng)
-            assert iou(a, b) == iou(b, a)
+            assert iou_matrix([a], [b])[0, 0] == iou_matrix([b], [a])[0, 0]
 
     def test_bounds_and_identity(self, rng):
         for _ in range(200):
             a = random_box(rng)
             b = random_box(rng)
-            v = iou(a, b)
+            v = iou_matrix([a], [b])[0, 0]
             assert 0.0 <= v <= 1.0
-            assert iou(a, a) == 1.0
+            assert iou_matrix([a], [a])[0, 0] == 1.0
 
     def test_translation_invariance(self, rng):
         for _ in range(100):
@@ -68,15 +65,15 @@ class TestIou:
             b = random_box(rng)
             dx = rng.uniform(-500, 500)
             dy = rng.uniform(-500, 500)
-            assert iou(a.translated(dx, dy), b.translated(dx, dy)) == pytest.approx(
-                iou(a, b), abs=1e-12
-            )
+            moved = iou_matrix([a.translated(dx, dy)], [b.translated(dx, dy)])
+            assert moved[0, 0] == pytest.approx(iou_matrix([a], [b])[0, 0], abs=1e-12)
 
     def test_matches_grid_oracle(self, rng):
         for _ in range(50):
             a = random_box(rng)
             b = random_box(rng)
-            assert iou(a, b) == pytest.approx(grid_iou(a, b, n=2 ** 15), abs=1e-3)
+            assert iou_matrix([a], [b])[0, 0] == pytest.approx(
+                grid_iou(a, b, n=2 ** 15), abs=1e-3)
 
 
 class TestIouDistanceMatrix:
@@ -102,7 +99,7 @@ class TestIouDistanceMatrix:
         m = iou_distance_matrix(rows, cols)
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
-                assert m[i, j] == 1.0 - iou(a, b)
+                assert m[i, j] == 1.0 - iou_matrix([a], [b])[0, 0]
 
     def test_entries_in_unit_interval(self, rng):
         rows = [random_box(rng) for _ in range(5)]
@@ -147,8 +144,9 @@ class TestIouMatrixMatchesScalarOracle:
         for _ in range(20):
             a = BoundingBox(rng.randint(0, 50), rng.randint(0, 50),
                             rng.randint(1, 20), rng.randint(1, 20))
-            side = [BoundingBox(a.right, a.y, 3.0, a.h), BoundingBox(a.x, a.bottom, a.w, 2.0),
-                    BoundingBox(a.x - 5.0, a.y, 5.0, a.h), BoundingBox(a.right, a.bottom, 1.0, 1.0)]
+            right, bottom = a.x + a.w, a.y + a.h
+            side = [BoundingBox(right, a.y, 3.0, a.h), BoundingBox(a.x, bottom, a.w, 2.0),
+                    BoundingBox(a.x - 5.0, a.y, 5.0, a.h), BoundingBox(right, bottom, 1.0, 1.0)]
             self._check([a], side)
             assert not iou_matrix([a], side).any()
 

@@ -19,7 +19,7 @@ from wintrack.trackers import Detection, TrackedDetection
 
 
 def td(frame, track_id, x, y, w, h, conf=0.9):
-    return TrackedDetection(Detection(frame, BoundingBox(x, y, w, h), conf), track_id)
+    return TrackedDetection(frame, track_id, BoundingBox(x, y, w, h), conf)
 
 
 class TestReadDetections:
@@ -195,12 +195,7 @@ class TestWriteResults:
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
         write_results(first, rows)
-        seq = read_results(first)
-        reread = [
-            TrackedDetection(Detection(r.frame, r.box, r.confidence), r.track_id)
-            for r in seq.records
-        ]
-        write_results(second, reread)
+        write_results(second, read_results(first).records)
         assert first.read_bytes() == second.read_bytes()
 
 

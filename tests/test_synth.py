@@ -50,7 +50,7 @@ class TestGenerate:
         gt, dets = generate(scenario)
         target1_frames = {
             f for f in dets for d in dets[f]
-            if abs(d.box.cy - 80.0) < 1.0
+            if abs(d.box.y + d.box.h / 2.0 - 80.0) < 1.0
         }
         assert target1_frames.isdisjoint(range(10, 16))
         # ground truth keeps the occluded rows
@@ -86,7 +86,7 @@ class TestGenerate:
     def test_clean_scene_is_perfectly_trackable(self):
         gt, dets = generate(plain_scenario())
         tracker = make_tracker(TrackerConfig(kind="sort", min_hits=1))
-        tracked = run_tracker(tracker, dets, gt.frame_count)
+        tracked = run_tracker(tracker, dets)
         report = evaluate(frames_from_records(gt.evaluable()),
                           frames_from_records(tracked))
         assert report.mota == pytest.approx(1.0, abs=1e-9)
@@ -211,8 +211,7 @@ class TestBundled:
         # the absence is engineered to outlast max_age at default settings,
         # so every per-frame tracker re-identifies the returning person
         gt, dets = generate(bundled_scenario("idswitch"))
-        tracked = run_tracker(make_tracker(TrackerConfig(kind=kind)), dets,
-                              gt.frame_count)
+        tracked = run_tracker(make_tracker(TrackerConfig(kind=kind)), dets)
         counts = match_clear(frames_from_records(gt.evaluable()),
                              frames_from_records(tracked))
         assert counts.idsw >= 1

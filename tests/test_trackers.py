@@ -67,6 +67,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="ocm_weight"):
             TrackerConfig(kind="ocsort", ocm_weight=weight)
 
+    @pytest.mark.parametrize("kind", ["sort", "ocsort"])
+    @pytest.mark.parametrize("value", ["false", 0.5, None, 1])
+    def test_non_bool_oru_enabled_rejected(self, kind, value):
+        # Under OC-SORT a string or float reached the "&" mask of the first
+        # step with a lost track and died there with a TypeError.
+        with pytest.raises(ValueError, match="oru_enabled"):
+            TrackerConfig(kind=kind, oru_enabled=value)
+
 
 class TestAssociateIou:
     def test_exact_overlap_matches(self):
@@ -146,7 +154,7 @@ class TestStepContract:
         t = SortTracker(TrackerConfig(min_hits=1))
         d = det(1, 100, 100)
         out = t.step(1, [d])
-        assert out == [TrackedDetection(d, 1)]
+        assert out == [TrackedDetection(1, 1, d.box, d.confidence)]
 
 
 class TestLifecycle:
@@ -166,7 +174,7 @@ class TestLifecycle:
         frames = {1: [det(1, 100, 100)], 2: [det(2, 100, 100)], 3: [det(3, 100, 100)]}
         for f in range(10, 13):
             frames[f] = [det(f, 100, 100)]
-        out = run_tracker(t, frames, last_frame=12)
+        out = run_tracker(t, frames)
         # gap of 6 missed frames > max_age: the id may never come back
         late_ids = {td.track_id for td in out if td.frame >= 10}
         assert late_ids == {2}
@@ -178,7 +186,7 @@ class TestLifecycle:
         frames = {1: [det(1, 100, 100)], 2: [det(2, 100, 100)], 3: [det(3, 100, 100)]}
         for f in range(10, 13):
             frames[f] = [det(f, 100, 100)]
-        out = run_tracker(t, frames, last_frame=12)
+        out = run_tracker(t, frames)
         assert {td.track_id for td in out} == {1}
 
     def test_ids_never_reused(self):
@@ -206,13 +214,14 @@ class TestCrossing:
             b = det(f, 216 - 4.0 * (f - 1), 130)
             frames[f] = [a, b]
         t = SortTracker(TrackerConfig(min_hits=1))
-        out = run_tracker(t, frames, last_frame=40)
+        out = run_tracker(t, frames)
         assert len(out) == 80
         owner = {}
         for td in out:
             # recover which target generated this box from its center
             f = td.frame
-            target = "a" if abs(td.box.cx - (60 + 4.0 * (f - 1))) < 1e-6 else "b"
+            cx = td.box.x + td.box.w / 2.0
+            target = "a" if abs(cx - (60 + 4.0 * (f - 1))) < 1e-6 else "b"
             owner.setdefault(td.track_id, set()).add(target)
         # each id sticks to exactly one target for the whole sequence
         assert all(len(v) == 1 for v in owner.values())
@@ -235,7 +244,7 @@ class TestByteTrack:
         t = ByteTracker(TrackerConfig(kind="bytetrack", min_hits=1,
                                       high_conf_threshold=0.6,
                                       low_conf_threshold=0.1))
-        out = run_tracker(t, frames, last_frame=5)
+        out = run_tracker(t, frames)
         assert sorted(td.frame for td in out) == [1, 2, 3, 4, 5]
         assert {td.track_id for td in out} == {1}
 
@@ -256,12 +265,12 @@ class TestByteTrack:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_collapsed_thresholds_equal_sort(self, seed):
-        gt, dets = generate(random_scenario(seed))
+        _, dets = generate(random_scenario(seed))
         byte_cfg = TrackerConfig(kind="bytetrack", high_conf_threshold=0.0,
                                  low_conf_threshold=0.0)
         sort_cfg = TrackerConfig(kind="sort")
-        byte_out = run_tracker(ByteTracker(byte_cfg), dets, gt.frame_count)
-        sort_out = run_tracker(SortTracker(sort_cfg), dets, gt.frame_count)
+        byte_out = run_tracker(ByteTracker(byte_cfg), dets)
+        sort_out = run_tracker(SortTracker(sort_cfg), dets)
         assert byte_out == sort_out
 
 
@@ -286,7 +295,7 @@ class TestOcSort:
         ahead = det(4, 18, 30, w=30, h=60)
         behind = det(4, 2, 30, w=30, h=60)
         out = t.step(4, [behind, ahead])
-        by_box = {td.box.cx: td.track_id for td in out}
+        by_box = {td.box.x + td.box.w / 2.0: td.track_id for td in out}
         assert by_box[18.0] == 1
         assert by_box[2.0] == 2
 
@@ -307,17 +316,17 @@ class TestOcSort:
         state = oracle.init_state(center_form(boxes[1].box))
         for f in range(2, 10):
             state = oracle.update(oracle.predict(state), center_form(boxes[f].box))
-        track = t.tracks[0]
-        assert np.allclose(track.state.mean, state.mean, atol=1e-8)
-        assert np.allclose(track.state.covariance, state.covariance, atol=1e-8)
+        assert [track.id for track in t.tracks] == [1]
+        assert np.allclose(t._table.mean[0], state.mean, atol=1e-8)
+        assert np.allclose(t._table.cov[0], state.covariance, atol=1e-8)
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_ocm_zero_and_oru_off_equal_sort(self, seed):
-        gt, dets = generate(random_scenario(seed))
+        _, dets = generate(random_scenario(seed))
         oc_cfg = TrackerConfig(kind="ocsort", ocm_weight=0.0, oru_enabled=False)
         sort_cfg = TrackerConfig(kind="sort")
-        oc_out = run_tracker(OcSortTracker(oc_cfg), dets, gt.frame_count)
-        sort_out = run_tracker(SortTracker(sort_cfg), dets, gt.frame_count)
+        oc_out = run_tracker(OcSortTracker(oc_cfg), dets)
+        sort_out = run_tracker(SortTracker(sort_cfg), dets)
         assert oc_out == sort_out
 
 
@@ -366,7 +375,8 @@ class TestHistoryBound:
             # the heading spans the last ocm_delta_t steps of the full path
             ref, last = observed[-1 - cfg.ocm_delta_t], observed[-1]
             heading = tracker._headings(np.array([0]))[0]
-            assert tuple(heading.tolist()) == (last.cx - ref.cx, last.cy - ref.cy)
+            (lx, ly), (rx, ry) = center_form(last)[:2], center_form(ref)[:2]
+            assert tuple(heading.tolist()) == (lx - rx, ly - ry)
 
 
 class TestDegeneratePrediction:
@@ -393,7 +403,7 @@ class TestDegeneratePrediction:
         assert [td.track_id for td in out] == [2]
         assert [(t.id, t.frames_since_update, t.hit_streak) for t in tracker.tracks] \
             == [(1, 16, 0), (2, 0, 1)]
-        assert tracker.tracks[0].state.mean[2] < 0.0
+        assert tracker._table.mean[0, 2] < 0.0
 
     def test_ocsort_retakes_through_its_last_box(self):
         tracker, out = self._shrink_then_reappear("ocsort")
@@ -405,10 +415,10 @@ class TestDegeneratePrediction:
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["sort", "bytetrack", "ocsort"])
     def test_identical_runs_identical_output(self, kind):
-        gt, dets = generate(random_scenario(7))
+        _, dets = generate(random_scenario(7))
         cfg = TrackerConfig(kind=kind, min_hits=2)
-        first = run_tracker(make_tracker(cfg), dets, gt.frame_count)
-        second = run_tracker(make_tracker(cfg), dets, gt.frame_count)
+        first = run_tracker(make_tracker(cfg), dets)
+        second = run_tracker(make_tracker(cfg), dets)
         assert first == second
 
     @pytest.mark.parametrize("kind", ["sort", "bytetrack", "ocsort"])

@@ -29,7 +29,8 @@ def det(frame, cx, cy, w=40.0, h=80.0, conf=1.0):
 
 
 def tracked(frame, cx, cy, track_id, conf=1.0):
-    return TrackedDetection(det(frame, cx, cy, conf=conf), track_id)
+    d = det(frame, cx, cy, conf=conf)
+    return TrackedDetection(frame, track_id, d.box, d.confidence)
 
 
 # Every level-1 x level-2 pairing at every tested window length, run at the
@@ -45,10 +46,10 @@ def scene(seed):
 
 
 def windowed(l1, l2, k, seed):
-    gt, dets = scene(seed)
+    _, dets = scene(seed)
     wt = WindowedTracker(make_tracker(TrackerConfig(kind=l1)),
                          make_tracker(TrackerConfig(kind=l2)), k)
-    return run_windowed(wt, dets, gt.frame_count)
+    return run_windowed(wt, dets)
 
 
 # Shared by the invariant tests, so each pairing runs once for all of them.
@@ -57,8 +58,8 @@ windowed_once = functools.cache(windowed)
 
 @functools.cache
 def solo_content_by_frame(kind, seed):
-    gt, dets = scene(seed)
-    solo = run_tracker(make_tracker(TrackerConfig(kind=kind)), dets, gt.frame_count)
+    _, dets = scene(seed)
+    solo = run_tracker(make_tracker(TrackerConfig(kind=kind)), dets)
     return content_by_frame(solo)
 
 
@@ -192,7 +193,7 @@ class TestCorrection:
     def test_stationary_target_constant_ids_across_windows(self):
         wt = sort_pair(2)
         frames = {f: [det(f, 100, 100)] for f in range(1, 11)}
-        out = run_windowed(wt, frames, last_frame=10)
+        out = run_windowed(wt, frames)
         assert len(out) == 10
         assert len({td.track_id for td in out}) == 1
 
@@ -220,7 +221,7 @@ class TestCorrection:
         out = wt.push_frame(2, frames[2])
         ids_by_cx = {}
         for td in out:
-            ids_by_cx.setdefault(td.box.cx, set()).add(td.track_id)
+            ids_by_cx.setdefault(td.box.x + td.box.w / 2.0, set()).add(td.track_id)
         assert ids_by_cx[100.0] == {1}  # level-2 id namespace starts at 1
         assert ids_by_cx[300.0] == {UNMATCHED_ID_OFFSET + 2}
 
@@ -268,19 +269,19 @@ class TestCorrection:
         gt, dets = generate(bundled_scenario("idswitch"))
         gt_frames = frames_from_records(gt.evaluable())
         cfg = TrackerConfig(kind="sort", min_hits=1)
-        baseline = run_tracker(make_tracker(cfg), dets, gt.frame_count)
+        baseline = run_tracker(make_tracker(cfg), dets)
         base_idsw = match_clear(gt_frames, frames_from_records(baseline)).idsw
         assert base_idsw >= 1
         for k in (2, 3):
             wt = WindowedTracker(
                 make_tracker(cfg),
                 make_tracker(TrackerConfig(kind="bytetrack", min_hits=1)), k)
-            corrected = run_windowed(wt, dets, gt.frame_count)
+            corrected = run_windowed(wt, dets)
             corr_idsw = match_clear(gt_frames, frames_from_records(corrected)).idsw
             assert corr_idsw < base_idsw
             # the reappearing person keeps one id end to end
             gap_target = [td.track_id for td in corrected
-                          if abs(td.box.cy - 100.0) < 1.0]
+                          if abs(td.box.y + td.box.h / 2.0 - 100.0) < 1.0]
             assert len(set(gap_target)) == 1
 
 
@@ -288,13 +289,13 @@ class TestStateHolding:
     def test_window_rate_tracker_bridges_long_gap(self):
         # per-frame tracker with max_age=5 loses a 12-frame occlusion; the
         # same tracker stepped once per 3-frame window holds on
-        gt, dets = generate(bundled_scenario("occlusion"))
+        _, dets = generate(bundled_scenario("occlusion"))
         cfg = TrackerConfig(kind="sort", max_age=5, min_hits=1)
-        solo = run_tracker(make_tracker(cfg), dets, gt.frame_count)
+        solo = run_tracker(make_tracker(cfg), dets)
         assert len({td.track_id for td in solo}) == 2
 
         wt = WindowedTracker(make_tracker(cfg), make_tracker(cfg), 3)
-        corrected = run_windowed(wt, dets, gt.frame_count)
+        corrected = run_windowed(wt, dets)
         pre_gap = {td.track_id for td in corrected if td.frame < 25}
         post_gap = {td.track_id for td in corrected if td.frame > 36}
         assert pre_gap == post_gap
