@@ -24,6 +24,7 @@ from .metrics import (
     motp,
 )
 from .motio import (
+    Detection,
     MotFileError,
     MotRecord,
     SequenceData,
@@ -33,14 +34,7 @@ from .motio import (
     write_results,
 )
 from .synth import NoiseSpec, Scenario, ScenarioError, TargetSpec, generate
-from .trackers import (
-    Detection,
-    TrackedDetection,
-    TrackerConfig,
-    Tracklet,
-    make_tracker,
-    run_tracker,
-)
+from .trackers import TrackerConfig, Tracklet, make_tracker, run_tracker
 from .window import WindowedTracker, run_windowed
 
 __version__ = "0.1.0"
@@ -58,7 +52,6 @@ __all__ = [
     "ScenarioError",
     "SequenceData",
     "TargetSpec",
-    "TrackedDetection",
     "TrackerConfig",
     "Tracklet",
     "UndefinedMetricError",

@@ -14,7 +14,7 @@ multi-sequence aggregation pools raw counts (never averages of scores):
   switch is counted when a ground-truth id's matched prediction differs
   from its most recently matched one.
     MOTA = 1 - (FN + FP + IDSW) / gtDet
-    MOTP = mean IoU over true positives (higher is better)
+    MOTP = mean IoU over true positives (higher is better), 0 without any
 
 * IdentityCounts come from one global bipartite matching of ground-truth
   trajectories to predicted trajectories that maximizes the number of
@@ -44,7 +44,6 @@ import numpy as np
 from .assignment import crowded, solve
 from .geometry import BoundingBox, iou_matrix
 from .motio import MotRecord
-from .trackers import TrackedDetection
 
 # frame -> [(id, box), ...]
 FrameBoxes = dict[int, list[tuple[int, BoundingBox]]]
@@ -123,7 +122,7 @@ class MetricsReport:
     hota_acc: HotaAccumulator
 
 
-def frames_from_records(records: Iterable[MotRecord | TrackedDetection]) -> FrameBoxes:
+def frames_from_records(records: Iterable[MotRecord]) -> FrameBoxes:
     """Group rows carrying frame, track_id and box by frame, frames sorted."""
     out: FrameBoxes = {}
     for r in records:
@@ -219,9 +218,8 @@ def mota(counts: ClearCounts) -> float:
 
 
 def motp(counts: ClearCounts) -> float:
-    if counts.tp == 0:
-        raise UndefinedMetricError("MOTP undefined without true positives")
-    return counts.similarity_sum / counts.tp
+    """Mean IoU over true positives; 0.0 without any, as in TrackEval."""
+    return counts.similarity_sum / max(1, counts.tp)
 
 
 def _identity(frames: list[_PairedFrame]) -> IdentityCounts:

@@ -1,4 +1,8 @@
-"""MOTChallenge-format file reading and writing.
+"""The package's row types and MOTChallenge-format file reading and writing.
+
+``Detection`` is one detector output and ``MotRecord`` one tracked row:
+trackers take the one and emit the other, and every file kind reads into
+and writes from them.
 
 File coordinates follow the MOTChallenge convention (1-based pixel
 positions of the top-left corner); values are carried through as
@@ -21,11 +25,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import BoundingBox
-from .trackers import Detection, TrackedDetection
 
 logger = logging.getLogger(__name__)
 
@@ -43,9 +45,25 @@ class MotFileError(ValueError):
 
 
 @dataclass(frozen=True)
+class Detection:
+    """One detector output: frame index, box, confidence in [0, 1]."""
+
+    frame: int
+    box: BoundingBox
+    confidence: float
+
+    def __post_init__(self):
+        if self.frame < 1:
+            raise ValueError(f"frame index must be >= 1, got {self.frame}")
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+
+
+@dataclass(frozen=True)
 class MotRecord:
-    """One parsed row.  For ground-truth files, ``confidence`` holds the
-    0/1 consider flag; result rows carry no class or visibility (-1)."""
+    """One tracked row, as trackers emit it or a file holds it.  For
+    ground-truth files, ``confidence`` holds the 0/1 consider flag; result
+    rows carry no class or visibility (-1)."""
 
     frame: int
     track_id: int
@@ -54,11 +72,13 @@ class MotRecord:
     class_id: int = -1
     visibility: float = -1.0
 
+    def __post_init__(self):
+        if self.track_id < 1:
+            raise ValueError(f"track id must be >= 1, got {self.track_id}")
+
 
 @dataclass(frozen=True)
 class SequenceData:
-    name: str
-    frame_count: int
     records: tuple[MotRecord, ...]
 
     def evaluable(self) -> list[MotRecord]:
@@ -157,9 +177,7 @@ def _read_records(path, names: Sequence[str]) -> SequenceData:
         seen.add((frame, track_id))
         records.append(MotRecord(frame, track_id, BoundingBox(x, y, w, h), *tail))
     records.sort(key=lambda r: (r.frame, r.track_id))
-    frame_count = max((r.frame for r in records), default=0)
-    return SequenceData(name=Path(path).stem, frame_count=frame_count,
-                        records=tuple(records))
+    return SequenceData(tuple(records))
 
 
 def read_ground_truth(path) -> SequenceData:
@@ -183,8 +201,8 @@ def _write(path, rows: Iterable[tuple[int, int, BoundingBox, str]]) -> None:
             )
 
 
-def write_results(path, tracked: Sequence[TrackedDetection | MotRecord]) -> None:
-    """Write tracked detections, or result records, as MOT result rows.
+def write_results(path, tracked: Sequence[MotRecord]) -> None:
+    """Write tracked rows as MOT result rows.
 
     Input must be sorted by (frame, id) with no duplicates.  Geometry is
     written with 2 decimals and confidence with 6; reading the file back

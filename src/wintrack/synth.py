@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import BoundingBox
-from .motio import MotRecord, SequenceData
-from .trackers import Detection
+from .motio import Detection, MotRecord, SequenceData
 
 
 class ScenarioError(ValueError):
@@ -174,9 +173,7 @@ def generate(scenario: Scenario) -> tuple[SequenceData, dict[int, list[Detection
                 Detection(frame, det_box, confidence)
             )
 
-    gt = SequenceData(name=scenario.name, frame_count=scenario.frame_count,
-                      records=tuple(records))
-    return gt, detections
+    return SequenceData(tuple(records)), detections
 
 
 # --- config files -----------------------------------------------------------

@@ -43,38 +43,9 @@ import numpy as np
 from .assignment import solve
 from .geometry import BoundingBox, Boxes, box_array, iou_distance_matrix
 from .kalman import KalmanState, MotionFilter
+from .motio import Detection, MotRecord
 
 TRACKER_KINDS = ("sort", "bytetrack", "ocsort")
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One detector output: frame index, box, confidence in [0, 1]."""
-
-    frame: int
-    box: BoundingBox
-    confidence: float
-
-    def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame index must be >= 1, got {self.frame}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-
-
-@dataclass(frozen=True)
-class TrackedDetection:
-    """One output row: a detection's frame, box and confidence under a track
-    id.  The fields match MotRecord's first four."""
-
-    frame: int
-    track_id: int
-    box: BoundingBox
-    confidence: float
-
-    def __post_init__(self):
-        if self.track_id < 1:
-            raise ValueError(f"track id must be >= 1, got {self.track_id}")
 
 
 @dataclass
@@ -228,7 +199,7 @@ class _TrackerBase:
                 for r, (i, k, since, streak) in enumerate(
                     zip(*(a.tolist() for a in (t.ids, t.n_obs, t.since, t.streak))))]
 
-    def step(self, frame: int, detections: Sequence[Detection]) -> list[TrackedDetection]:
+    def step(self, frame: int, detections: Sequence[Detection]) -> list[MotRecord]:
         """Advance one frame; returns the frame's confirmed tracked detections.
 
         Frames must be stepped in strictly increasing order and every
@@ -272,7 +243,7 @@ class _TrackerBase:
         t.streak = np.where(t.since == 0, t.streak + 1, 0)
 
         ids, streak, min_hits = t.ids.tolist(), t.streak.tolist(), self.config.min_hits
-        emitted = [TrackedDetection(frame, ids[r], dets[c].box, dets[c].confidence)
+        emitted = [MotRecord(frame, ids[r], dets[c].box, dets[c].confidence)
                    for r, c in zip(rows.tolist(), cols.tolist()) if streak[r] >= min_hits]
 
         if len(spawn):
@@ -281,7 +252,7 @@ class _TrackerBase:
             t = t.extend(_TrackTable.new(new_ids, self._filter.init_state(z[spawn]),
                                          boxes[spawn], self._history_len))
             if min_hits <= 1:
-                emitted += [TrackedDetection(frame, i, dets[c].box, dets[c].confidence)
+                emitted += [MotRecord(frame, i, dets[c].box, dets[c].confidence)
                             for c, i in zip(spawn.tolist(), new_ids.tolist())]
 
         keep = t.since <= self.config.max_age
@@ -416,10 +387,10 @@ def make_tracker(config: TrackerConfig) -> _TrackerBase:
 
 def run_tracker(
     tracker: _TrackerBase, detections_by_frame: dict[int, list[Detection]]
-) -> list[TrackedDetection]:
+) -> list[MotRecord]:
     """Step a tracker over frames 1 to the last detection frame, including
     empty frames."""
-    out: list[TrackedDetection] = []
+    out: list[MotRecord] = []
     for f in range(1, max(detections_by_frame, default=0) + 1):
         out.extend(tracker.step(f, detections_by_frame.get(f, [])))
     return out

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 from .assignment import solve
 from .geometry import iou_matrix
-from .trackers import Detection, TrackedDetection, _TrackerBase
+from .motio import Detection, MotRecord
+from .trackers import _TrackerBase
 
 # A level-1 id m with no level-2 match is emitted as this offset plus m, which
 # stays readable, while m is below the offset, and as 2m + 1 from the offset
@@ -40,14 +41,14 @@ from .trackers import Detection, TrackedDetection, _TrackerBase
 UNMATCHED_ID_OFFSET = 1_000_000
 
 
-def select_best(rows: Sequence[TrackedDetection]) -> list[TrackedDetection]:
+def select_best(rows: Sequence[MotRecord]) -> list[MotRecord]:
     """One entry per level-1 id in a window's rows: its highest-confidence box.
 
     rows come in frame order, so confidence ties resolve to the earliest
     frame; the result is ordered by id so downstream processing is
     deterministic.
     """
-    best: dict[int, TrackedDetection] = {}
+    best: dict[int, MotRecord] = {}
     for td in rows:
         kept = best.get(td.track_id)
         # Strict improvement only: ties keep the earliest row.
@@ -66,11 +67,11 @@ class WindowedTracker:
         self.level2 = level2
         self.k = k
         # The open window: (frame, level-1 output) per pushed frame.
-        self._frames: list[tuple[int, list[TrackedDetection]]] = []
+        self._frames: list[tuple[int, list[MotRecord]]] = []
 
     def push_frame(
         self, frame: int, detections: Sequence[Detection]
-    ) -> Optional[list[TrackedDetection]]:
+    ) -> Optional[list[MotRecord]]:
         """Step level 1 and buffer its output.
 
         Returns None while the window is filling; on the k-th frame,
@@ -83,13 +84,13 @@ class WindowedTracker:
             return self.finalize_window()
         return None
 
-    def flush(self) -> list[TrackedDetection]:
+    def flush(self) -> list[MotRecord]:
         """Finalize a trailing partial window; empty buffer yields nothing."""
         if not self._frames:
             return []
         return self.finalize_window()
 
-    def finalize_window(self) -> list[TrackedDetection]:
+    def finalize_window(self) -> list[MotRecord]:
         """Run level 2 on the window's best boxes and relabel level-1 output."""
         frames, self._frames = self._frames, []
         rows = [td for _, tracked in frames for td in tracked]
@@ -107,7 +108,7 @@ class WindowedTracker:
         )
         level2_ids = [n if n <= UNMATCHED_ID_OFFSET else 2 * n
                       for n in (td.track_id for td in level2_out)]
-        corrected: list[TrackedDetection] = []
+        corrected: list[MotRecord] = []
         start = 0
         for _, tracked in frames:
             block = overlap[start:start + len(tracked)]
@@ -121,16 +122,16 @@ class WindowedTracker:
                     new_id = (UNMATCHED_ID_OFFSET + m if m < UNMATCHED_ID_OFFSET
                               else 2 * m + 1)
                 corrected.append(
-                    TrackedDetection(td.frame, new_id, td.box, td.confidence))
+                    MotRecord(td.frame, new_id, td.box, td.confidence))
         return corrected
 
 
 def run_windowed(
     tracker: WindowedTracker, detections_by_frame: dict[int, list[Detection]]
-) -> list[TrackedDetection]:
+) -> list[MotRecord]:
     """Push frames 1 to the last detection frame (empty frames included) and
     flush the tail."""
-    out: list[TrackedDetection] = []
+    out: list[MotRecord] = []
     for f in range(1, max(detections_by_frame, default=0) + 1):
         emitted = tracker.push_frame(f, detections_by_frame.get(f, []))
         if emitted:

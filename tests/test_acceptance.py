@@ -31,14 +31,19 @@ from wintrack.metrics import (
     match_clear,
     mota,
 )
-from wintrack.motio import read_results, write_detections, write_ground_truth, write_results
+from wintrack.motio import (
+    Detection,
+    MotRecord,
+    read_results,
+    write_detections,
+    write_ground_truth,
+    write_results,
+)
 from wintrack.synth import BUNDLED_SUITE, bundled_scenario, generate
 from wintrack.trackers import (
     ByteTracker,
-    Detection,
     OcSortTracker,
     SortTracker,
-    TrackedDetection,
     TrackerConfig,
     make_tracker,
     run_tracker,
@@ -267,7 +272,7 @@ def test_criterion_9_io_stability_and_content_preservation(tmp_path):
         rng = random.Random(20249)
         for i in range(50):
             gt, _ = generate(random_scenario(2000 + i))
-            rows = [TrackedDetection(r.frame, r.track_id, r.box, round(rng.random(), 6))
+            rows = [MotRecord(r.frame, r.track_id, r.box, round(rng.random(), 6))
                     for r in gt.records]
             rows.sort(key=lambda td: (td.frame, td.track_id))
             first = tmp_path / f"a{i}.txt"

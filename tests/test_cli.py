@@ -145,6 +145,16 @@ class TestEval:
         code = main(["eval", "--gt", str(empty), "--res", str(gt_path)])
         assert code == 3
 
+    def test_empty_result_is_scored(self, scene_files, tmp_path, capsys):
+        gt_path, _ = scene_files
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code = main(["eval", "--gt", str(gt_path), "--res", str(empty),
+                     "--format", "csv"])
+        assert code == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert row[:4] == ["0.0", "0.0", "0.0", "0.0"]
+
     def test_csv_format(self, scene_files, capsys):
         gt_path, _ = scene_files
         code = main(["eval", "--gt", str(gt_path), "--res", str(gt_path),
@@ -184,6 +194,20 @@ class TestSweep:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_configuration_without_true_positives_is_scored(self, scene_files,
+                                                            tmp_path, capsys):
+        # No level-1 track is ever confirmed, so no configuration emits a row.
+        gt_path, det_path = scene_files
+        config = tmp_path / "never.ini"
+        config.write_text("[l1]\nmin_hits = 1000\n")
+        code = main(["sweep", "--det", str(det_path), "--gt", str(gt_path),
+                     "--l1", "sort", "--l2", "bytetrack", "--config", str(config),
+                     "--format", "csv"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert len(lines) == 6
+        assert lines[1].split(",")[2:] == ["0.0", "0.0", "0.0", "0.0"]
 
     def test_baseline_row_matches_track_plus_eval(self, scene_files, tmp_path,
                                                   capsys):

@@ -75,8 +75,7 @@ class TestClear:
         counts = match_clear(gt, {})
         assert counts.fn == counts.gt_det == 5
         assert mota(counts) == 0.0
-        with pytest.raises(UndefinedMetricError):
-            motp(counts)
+        assert motp(counts) == 0.0
 
     def test_mota_can_go_negative(self):
         gt = single_track(range(1, 3))
@@ -314,6 +313,17 @@ class TestEvaluate:
         report = evaluate(gt, gt)
         for field in ("mota", "motp", "idf1", "hota", "det_a", "ass_a"):
             assert getattr(report, field) == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_true_positive_is_scored(self):
+        # TrackEval's convention: MOTP = similarity / max(1, TP) is 0 without
+        # a true positive, and the other scores stay defined.
+        gt = single_track(range(1, 6))
+        pred = single_track(range(1, 6), ident=7, cx=500.0)
+        report = evaluate(gt, pred)
+        assert (report.clear.tp, report.clear.fp, report.clear.fn) == (0, 5, 5)
+        assert report.motp == 0.0
+        assert report.mota == -1.0
+        assert report.idf1 == report.hota == 0.0
 
     def test_pooling_uses_counts_not_score_means(self):
         gt_a = single_track(range(1, 31))

@@ -4,6 +4,7 @@ import pytest
 
 from wintrack.geometry import BoundingBox
 from wintrack.motio import (
+    Detection,
     MotFileError,
     MotRecord,
     SequenceData,
@@ -15,11 +16,10 @@ from wintrack.motio import (
     write_results,
 )
 from wintrack.synth import bundled_scenario, generate
-from wintrack.trackers import Detection, TrackedDetection
 
 
 def td(frame, track_id, x, y, w, h, conf=0.9):
-    return TrackedDetection(frame, track_id, BoundingBox(x, y, w, h), conf)
+    return MotRecord(frame, track_id, BoundingBox(x, y, w, h), conf)
 
 
 class TestReadDetections:
@@ -105,7 +105,6 @@ class TestReadGroundTruth:
         seq = read_ground_truth(p)
         assert len(seq.records) == 1
         assert seq.records[0].track_id == 3
-        assert seq.frame_count == 1
 
     def test_flag_zero_parsed_but_not_evaluable(self, tmp_path):
         p = tmp_path / "gt.txt"
@@ -144,11 +143,17 @@ class TestReadGroundTruth:
             read_ground_truth(p)
 
 
+class TestMotRecord:
+    def test_track_id_must_be_positive(self):
+        with pytest.raises(ValueError, match="track id must be >= 1, got 0"):
+            MotRecord(1, 0, BoundingBox(0.0, 0.0, 10.0, 10.0), 0.5)
+
+
 class TestReadResults:
     def test_ids_must_be_positive(self, tmp_path):
         p = tmp_path / "res.txt"
         p.write_text("1,-1,10,20,30,40,0.9,-1,-1,-1\n")
-        with pytest.raises(MotFileError, match="track id"):
+        with pytest.raises(MotFileError, match=r"res\.txt: line 1: track id"):
             read_results(p)
 
     def test_nan_confidence_rejected(self, tmp_path):
@@ -242,6 +247,6 @@ class TestRowCodec:
         gt_path = tmp_path / "gt.txt"
         write_detections(det_path, {2: [Detection(2, box, 0.5)]})
         write_ground_truth(gt_path, SequenceData(
-            "gt", 2, (MotRecord(2, 3, box, 1.0, 1, 0.75),)))
+            (MotRecord(2, 3, box, 1.0, 1, 0.75),)))
         assert det_path.read_text() == "2,-1,10.00,20.50,30.00,40.25,0.500000,-1,-1,-1\n"
         assert gt_path.read_text() == "2,3,10.00,20.50,30.00,40.25,1,1,0.75\n"

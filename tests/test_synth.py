@@ -165,8 +165,7 @@ confidence_dips = 1:20-22:0.3
         assert len(scenario.targets) == 2
         assert scenario.targets[0].hidden == ((10, 12),)
         assert scenario.noise.dropout_windows == ((2, 5, 7, 1.0),)
-        gt, dets = generate(scenario)
-        assert gt.frame_count == 30
+        generate(scenario)
 
     def test_unknown_key_named_in_error(self, tmp_path):
         p = tmp_path / "bad.ini"

@@ -6,13 +6,12 @@ import pytest
 
 from wintrack.geometry import BoundingBox
 from wintrack.kalman import MotionFilter
+from wintrack.motio import Detection, MotRecord
 from wintrack.synth import generate
 from wintrack.trackers import (
     ByteTracker,
-    Detection,
     OcSortTracker,
     SortTracker,
-    TrackedDetection,
     TrackerConfig,
     associate_iou,
     direction_costs,
@@ -154,7 +153,7 @@ class TestStepContract:
         t = SortTracker(TrackerConfig(min_hits=1))
         d = det(1, 100, 100)
         out = t.step(1, [d])
-        assert out == [TrackedDetection(1, 1, d.box, d.confidence)]
+        assert out == [MotRecord(1, 1, d.box, d.confidence)]
 
 
 class TestLifecycle:
@@ -423,10 +422,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("kind", ["sort", "bytetrack", "ocsort"])
     def test_id_uniqueness_across_run(self, kind):
-        gt, dets = generate(random_scenario(8))
+        scenario = random_scenario(8)
+        _, dets = generate(scenario)
         tracker = make_tracker(TrackerConfig(kind=kind, min_hits=1, max_age=3))
         id_last_frame = {}
-        for f in range(1, gt.frame_count + 1):
+        for f in range(1, scenario.frame_count + 1):
             for td in tracker.step(f, dets.get(f, [])):
                 # an id, once it disappears for good, is never re-issued to a
                 # new tracklet: emitted frames per id must be contiguous-ish

@@ -5,11 +5,10 @@ import pytest
 
 from wintrack.geometry import BoundingBox
 from wintrack.metrics import frames_from_records, match_clear
+from wintrack.motio import Detection, MotRecord
 from wintrack.synth import bundled_scenario, generate
 from wintrack.trackers import (
     TRACKER_KINDS,
-    Detection,
-    TrackedDetection,
     TrackerConfig,
     make_tracker,
     run_tracker,
@@ -30,7 +29,7 @@ def det(frame, cx, cy, w=40.0, h=80.0, conf=1.0):
 
 def tracked(frame, cx, cy, track_id, conf=1.0):
     d = det(frame, cx, cy, conf=conf)
-    return TrackedDetection(frame, track_id, d.box, d.confidence)
+    return MotRecord(frame, track_id, d.box, d.confidence)
 
 
 # Every level-1 x level-2 pairing at every tested window length, run at the
