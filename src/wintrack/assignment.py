@@ -6,12 +6,22 @@ minimum total cost, as the matched rows and their columns in two index
 arrays, rows ascending.  It delegates to scipy's Jonker-Volgenant-style
 solver, unless no two admissible pairs share a row or a column: those
 pairs are then the one maximum matching and are returned as they are.
+scipy is imported on the first call that needs it, so a program whose
+pairs are never contended (``wintrack synth``, a sparse scene) never
+loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's solver, imported on first use: loading ``scipy.optimize``
+    takes longer than importing the rest of the package."""
+    from scipy.optimize import linear_sum_assignment as solver
+
+    return solver(cost)
 
 
 def _as_cost_matrix(cost) -> np.ndarray:

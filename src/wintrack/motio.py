@@ -15,17 +15,22 @@ differs only in its tail columns:
   results:      conf,-1,-1,-1               (id >= 1)
   ground truth: flag,class,visibility
 
-One parser reads the leading fields each kind names (``_rows``) and one
-writer formats the shared prefix (``_write``).  Extra trailing columns are
-ignored on read.  LF and CRLF are both accepted; LF is emitted.
+A file is read as one array of the leading fields each kind names
+(``_table``), checked as a whole; a per-line parser (``_rows``) reads it
+again only to name a bad line.  One writer formats the shared prefix
+(``_write``).  Extra trailing columns are ignored on read.  LF and CRLF are
+both accepted; LF is emitted.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .geometry import BoundingBox
 
@@ -94,13 +99,19 @@ def _error(path, lineno: int, what: str) -> MotFileError:
     return MotFileError(f"{path}: line {lineno}: {what}")
 
 
-def _rows(path, names: Sequence[str]) -> Iterator[tuple[int, list]]:
-    """Yield (line number, values) for each non-blank line of a MOT file.
+def _rows(path, names: Sequence[str], records: bool) -> Iterator[list]:
+    """Yield the values of each non-blank line of a MOT file, in file order.
 
-    ``values`` holds the leading fields named by ``names`` as finite floats;
+    The values are the leading fields named by ``names``, as finite floats;
     frame, id and class are whole numbers and come back as ints, and a frame
-    is at least 1.  The first bad field in column order raises MotFileError.
+    is at least 1.  For ``records`` (ground truth and results) an id is also
+    at least 1, box sides are positive and no (frame, id) pair repeats; a
+    detection line with a non-positive side is logged with its line number
+    and still yielded.  The first fault raises MotFileError naming its line:
+    a bad field in column order, then the frame, the id, the sides and the
+    repeat.
     """
+    seen: set[tuple[int, int]] = set()
     with open(path, "r", encoding="utf-8", newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -127,9 +138,75 @@ def _rows(path, names: Sequence[str]) -> Iterator[tuple[int, list]]:
                                      f"integer: {text!r}")
                     value = int(value)
                 values.append(value)
-            if values[0] < 1:
+            frame, track_id, _, _, w, h = values[:6]
+            if frame < 1:
                 raise _error(path, lineno, "frame must be >= 1")
-            yield lineno, values
+            if records:
+                if track_id < 1:
+                    raise _error(path, lineno, f"track id must be >= 1, got {track_id}")
+                if w <= 0 or h <= 0:
+                    raise _error(path, lineno,
+                                 f"box sides must be positive, got w={w} h={h}")
+                if (frame, track_id) in seen:
+                    raise _error(path, lineno, "duplicate (frame, id) pair "
+                                 f"({frame}, {track_id})")
+                seen.add((frame, track_id))
+            elif w <= 0 or h <= 0:
+                logger.warning(
+                    "%s: line %d: rejected detection with non-positive size "
+                    "w=%s h=%s", path, lineno, w, h,
+                )
+            yield values
+
+
+def _clean(table: np.ndarray, names: Sequence[str], records: bool) -> bool:
+    """Whether a parsed table passes every check ``_rows`` makes, so that
+    no line needs naming or logging."""
+    frame, track_id, w, h = table[:, 0], table[:, 1], table[:, 4], table[:, 5]
+    whole = table[:, [i for i, name in enumerate(names) if name in _WHOLE_FIELDS]]
+    if not (np.isfinite(table).all() and (whole == np.trunc(whole)).all()
+            and (frame >= 1).all() and (w > 0).all() and (h > 0).all()):
+        return False
+    if not records:
+        return True
+    order = np.lexsort((track_id, frame))
+    frame, track_id = frame[order], track_id[order]
+    repeated = (frame[1:] == frame[:-1]) & (track_id[1:] == track_id[:-1])
+    return bool((track_id >= 1).all() and not repeated.any())
+
+
+def _table(path, names: Sequence[str], records: bool) -> np.ndarray:
+    """The fields ``names`` of every non-blank line, as a (lines, fields)
+    float array in file order.
+
+    numpy parses the whole file in one call and the array is checked at
+    once.  Only when that parse or a check fails is the file read again by
+    ``_rows``, which names the first bad line (and logs each rejected
+    detection) or, finding no fault, supplies the values itself: ``float``
+    accepts spellings that numpy does not, such as ``1_000``, and
+    whitespace-only lines.
+    """
+    try:
+        with warnings.catch_warnings():
+            # A file without rows is valid and reads as no records.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            table = np.loadtxt(path, delimiter=",", usecols=range(len(names)),
+                               ndmin=2, comments=None, encoding="utf-8")
+    except (OSError, ValueError):
+        pass
+    else:
+        table = table.reshape(-1, len(names))
+        if _clean(table, names, records):
+            return table
+    return np.array(list(_rows(path, names, records)),
+                    dtype=float).reshape(-1, len(names))
+
+
+def _columns(table: np.ndarray, names: Sequence[str]) -> list[list]:
+    """The table's columns as lists of Python numbers, ints for whole fields."""
+    return [list(map(int, column)) if name in _WHOLE_FIELDS else column
+            for name, column in zip(names, table.T.tolist())]
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
@@ -139,20 +216,17 @@ def read_detections(path) -> dict[int, list[Detection]]:
     Confidences outside [0, 1] are clamped (with a warning count); rows
     with non-positive width or height are rejected with a diagnostic.
     """
+    table = _table(path, _DETECTION_FIELDS, records=False)
+    kept = (table[:, 4] > 0) & (table[:, 5] > 0)
+    rejected = len(table) - int(kept.sum())
+    table = table[kept]
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    confidence = table[:, 6]
+    low, high = confidence < 0.0, confidence > 1.0
+    clamped = int(low.sum() + high.sum())
+    confidence[low], confidence[high] = 0.0, 1.0
     grouped: dict[int, list[Detection]] = {}
-    clamped = 0
-    rejected = 0
-    for lineno, (frame, _, x, y, w, h, conf) in _rows(path, _DETECTION_FIELDS):
-        if w <= 0 or h <= 0:
-            rejected += 1
-            logger.warning(
-                "%s: line %d: rejected detection with non-positive size "
-                "w=%s h=%s", path, lineno, w, h,
-            )
-            continue
-        if not 0.0 <= conf <= 1.0:
-            clamped += 1
-            conf = min(1.0, max(0.0, conf))
+    for frame, _, x, y, w, h, conf in zip(*_columns(table, _DETECTION_FIELDS)):
         grouped.setdefault(frame, []).append(
             Detection(frame, BoundingBox(x, y, w, h), conf)
         )
@@ -160,24 +234,16 @@ def read_detections(path) -> dict[int, list[Detection]]:
         logger.warning("%s: clamped %d confidence values into [0, 1]", path, clamped)
     if rejected:
         logger.warning("%s: rejected %d rows with non-positive size", path, rejected)
-    return dict(sorted(grouped.items()))
+    return grouped
 
 
 def _read_records(path, names: Sequence[str]) -> SequenceData:
-    records = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, (frame, track_id, x, y, w, h, *tail) in _rows(path, names):
-        if track_id < 1:
-            raise _error(path, lineno, f"track id must be >= 1, got {track_id}")
-        if w <= 0 or h <= 0:
-            raise _error(path, lineno, f"box sides must be positive, got w={w} h={h}")
-        if (frame, track_id) in seen:
-            raise _error(path, lineno, "duplicate (frame, id) pair "
-                         f"({frame}, {track_id})")
-        seen.add((frame, track_id))
-        records.append(MotRecord(frame, track_id, BoundingBox(x, y, w, h), *tail))
-    records.sort(key=lambda r: (r.frame, r.track_id))
-    return SequenceData(tuple(records))
+    table = _table(path, names, records=True)
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+    return SequenceData(tuple(
+        MotRecord(frame, track_id, BoundingBox(x, y, w, h), *tail)
+        for frame, track_id, x, y, w, h, *tail in zip(*_columns(table, names))
+    ))
 
 
 def read_ground_truth(path) -> SequenceData:

@@ -213,3 +213,71 @@ class TestUncontendedFastPath:
         assert len(calls) == 1
         assert_index_arrays(rows, cols)
         assert pairs(rows, cols) == [(0, 1), (3, 0)]
+
+
+# Run in a fresh interpreter: nothing the package needs short of a contended
+# solve may load scipy.
+_LAZY_SCIPY_CHILD = r"""
+import runpy
+import sys
+import tempfile
+
+import numpy as np
+
+import wintrack
+from oracles import solve_bruteforce, total_cost
+from wintrack.cli import main
+from wintrack.synth import Scenario, TargetSpec, generate
+from wintrack.trackers import TrackerConfig, make_tracker
+from wintrack.window import WindowedTracker, run_windowed
+
+assert "scipy" not in sys.modules, "import wintrack"
+sys.argv = ["wintrack", "--help"]
+try:
+    runpy.run_module("wintrack", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert "scipy" not in sys.modules, "python -m wintrack --help"
+with tempfile.TemporaryDirectory() as out:
+    assert main(["synth", "--scenario", "idswitch", "--out-dir", out]) == 0
+assert "scipy" not in sys.modules, "wintrack synth"
+
+# Walkers far apart on parallel paths: no two boxes ever overlap, so no
+# association is contended.
+sparse = Scenario(name="sparse", seed=0, frame_count=40, targets=tuple(
+    TargetSpec(waypoints=((1, x, 100.0), (40, x + 40.0, 140.0)),
+               width=30.0, height=60.0)
+    for x in (100.0, 300.0, 500.0)))
+_, detections = generate(sparse)
+for l1, l2 in (("bytetrack", "ocsort"), ("ocsort", "bytetrack")):
+    tracker = WindowedTracker(make_tracker(TrackerConfig(kind=l1)),
+                              make_tracker(TrackerConfig(kind=l2)), 3)
+    # Every walker is tracked, bar the frames before a track is confirmed.
+    assert len(run_windowed(tracker, detections)) > 100
+assert "scipy" not in sys.modules, "run_windowed over a sparse scene"
+
+cost = np.array([[0.4, 0.1, 0.7], [0.2, 0.3, 0.9], [0.5, 0.6, 0.8]])
+fast = wintrack.solve(cost, cost < 0.75)
+assert "scipy" in sys.modules, "a contended solve"
+slow = solve_bruteforce(cost, cost < 0.75)
+assert len(fast[0]) == len(slow[0]) == 3
+assert total_cost(cost, *fast) == total_cost(cost, *slow)
+"""
+
+
+def test_scipy_loads_only_on_the_first_contended_solve():
+    import os
+    import subprocess
+    import sys
+
+    import wintrack
+
+    # The child imports the same package and oracles this process does,
+    # however the test run put them on sys.path.
+    src = os.path.dirname(os.path.dirname(wintrack.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_CHILD],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from wintrack import motio
 from wintrack.geometry import BoundingBox
 from wintrack.motio import (
     Detection,
@@ -89,6 +90,14 @@ class TestReadDetections:
         p.write_bytes(b"1,-1,10,20,30,40,0.9,-1,-1,-1\r\n")
         assert len(read_detections(p)[1]) == 1
 
+    def test_frames_ascend_and_keep_file_order(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text("2,-1,10,20,30,40,0.9\n1,-1,60,20,30,40,0.5\n"
+                     "1,-1,10,20,30,40,0.7\n")
+        out = read_detections(p)
+        assert list(out) == [1, 2]
+        assert [d.confidence for d in out[1]] == [0.5, 0.7]
+
     def test_grouping_preserves_record_count(self, tmp_path):
         p = tmp_path / "det.txt"
         rows = [f"{f},-1,{10 * i},20,30,40,0.5,-1,-1,-1"
@@ -155,6 +164,13 @@ class TestReadResults:
         p.write_text("1,-1,10,20,30,40,0.9,-1,-1,-1\n")
         with pytest.raises(MotFileError, match=r"res\.txt: line 1: track id"):
             read_results(p)
+
+    def test_records_are_ordered_by_frame_then_id(self, tmp_path):
+        p = tmp_path / "res.txt"
+        p.write_text("2,1,10,20,30,40,0.9\n1,3,10,20,30,40,0.9\n"
+                     "1,2,60,20,30,40,0.9\n")
+        assert [(r.frame, r.track_id) for r in read_results(p).records] == [
+            (1, 2), (1, 3), (2, 1)]
 
     def test_nan_confidence_rejected(self, tmp_path):
         p = tmp_path / "res.txt"
@@ -250,3 +266,74 @@ class TestRowCodec:
             (MotRecord(2, 3, box, 1.0, 1, 0.75),)))
         assert det_path.read_text() == "2,-1,10.00,20.50,30.00,40.25,0.500000,-1,-1,-1\n"
         assert gt_path.read_text() == "2,3,10.00,20.50,30.00,40.25,1,1,0.75\n"
+
+
+# Every row is valid for all three readers: detections read frame, id, box
+# and confidence; results the same with the id as track id; ground truth
+# reads the 7th to 9th columns as flag, class and visibility.
+_ROW = "1,2,10,20,30,40,1,1,0.5,-1"
+_READER_CASES = {
+    "clean rows, out of order": "2,1,10,20,30,40,0.25,1,0.5\n1,2,10,20,30,40,1,1,1\n"
+                                "1,1,50,20,30,40,0.75,1,0\n",
+    "spaces and tabs around fields": " 1 ,\t2,10 , 20\t,30,40,1,1,0.5 \n",
+    "CRLF": f"{_ROW}\r\n2,2,11,20,30,40,1,1,0.5\r\n",
+    "blank lines": f"\n{_ROW}\n\n2,2,11,20,30,40,1,1,0.5\n\n",
+    "whitespace-only line": f" \t \n{_ROW}\n",
+    "extra columns": f"{_ROW},7,8,9\n",
+    "trailing comma": f"{_ROW},\n",
+    "signs, bare decimals and exponents": "+1,2,.5,1e1,30,40,1,1,0.5\n",
+    "digit separator": "1,2,1_000,20,30,40,1,1,0.5\n",
+    "nan": "1,2,nan,20,30,40,1,1,0.5\n",
+    "inf": "1,2,10,20,inf,40,1,1,0.5\n",
+    "overflow": "1,2,10,20,30,1e400,1,1,0.5\n",
+    "comment line": f"#{_ROW}\n",
+    "short row": "1,2,10,20,30\n",
+    "fractional frame": "1.5,2,10,20,30,40,1,1,0.5\n",
+    "fractional id": "1,2.5,10,20,30,40,1,1,0.5\n",
+    "fractional class": "1,2,10,20,30,40,1,1.5,0.5\n",
+    "whole numbers spelled as floats": "1.0,2e0,10,20,30,40,1,1.0,0.5\n",
+    "frame 0": "0,2,10,20,30,40,1,1,0.5\n",
+    "id 0": "1,0,10,20,30,40,1,1,0.5\n",
+    "repeated frame and id": f"{_ROW}\n{_ROW}\n",
+    "zero width": f"1,2,10,20,0,40,1,1,0.5\n{_ROW}\n",
+    "negative height, then a fault": f"1,3,10,20,30,-4,1,1,0.5\n{_ROW}\n1,2,nan,20,30,40,1,1,0.5\n",
+    "clamped confidence": "1,2,10,20,30,40,1.5,1,0.5\n1,3,60,20,30,40,-0.25,1,0.5\n",
+    "negative zero confidence": "1,2,10,20,30,40,-0.0,1,0.5\n",
+    "empty file": "",
+}
+
+
+def _outcome(reader, path, caplog) -> tuple[str, list]:
+    """What a reader returns (or the error it raises) and what it logs."""
+    caplog.clear()
+    try:
+        out = repr(reader(path))
+    except MotFileError as exc:
+        out = f"MotFileError: {exc}"
+    return out, [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+@pytest.mark.parametrize("reader", [read_detections, read_results, read_ground_truth])
+@pytest.mark.parametrize("text", _READER_CASES.values(), ids=_READER_CASES.keys())
+def test_array_reader_matches_line_parser(tmp_path, monkeypatch, caplog, reader, text):
+    p = tmp_path / "rows.txt"
+    p.write_bytes(text.encode())
+    with caplog.at_level(logging.WARNING, logger="wintrack.motio"):
+        array = _outcome(reader, p, caplog)
+        # No table passes its checks, so every file is read by _rows alone.
+        monkeypatch.setattr(motio, "_clean", lambda *args: False)
+        by_line = _outcome(reader, p, caplog)
+    assert array == by_line
+
+
+@pytest.mark.parametrize("reader", [read_detections, read_results, read_ground_truth])
+def test_clean_file_is_not_read_line_by_line(tmp_path, monkeypatch, reader):
+    p = tmp_path / "rows.txt"
+    p.write_text(_READER_CASES["clean rows, out of order"])
+    expected = reader(p)
+
+    def unused(*args):
+        raise AssertionError("the per-line parser ran on a clean file")
+
+    monkeypatch.setattr(motio, "_rows", unused)
+    assert reader(p) == expected
