@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence, Union
 
 import numpy as np
@@ -23,9 +23,15 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
+        # The checks below without their loop: this passes exactly the boxes
+        # they pass and raises whatever they would raise first; a box that
+        # fails it takes them, so the error names the field.
+        if (isfinite(self.x) and isfinite(self.y) and isfinite(self.w)
+                and isfinite(self.h) and not (self.w <= 0 or self.h <= 0)):
+            return
         for name in ("x", "y", "w", "h"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not isfinite(v):
                 raise ValueError(f"box field {name!r} must be finite, got {v!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got w={self.w}, h={self.h}")

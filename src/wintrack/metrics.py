@@ -1,18 +1,21 @@
 """MOT evaluation: CLEAR counts (MOTA/MOTP), identity F1, and HOTA.
 
 Inputs to every operation are frame-indexed id/box lists, one for ground
-truth and one for predictions.  A sequence is paired once: each frame of
-either side becomes its ground-truth ids, its predicted ids and one IoU
-matrix, which all three metrics read; a frame that repeats an id on
-either side is rejected.  The three accumulators are pure counts so
-multi-sequence aggregation pools raw counts (never averages of scores):
+truth and one for predictions.  A sequence is paired once, into arrays:
+each side's ids and boxes in frame order, and one IoU matrix per frame,
+all held in one flat array whose cells at IoU >= 0.05 are indexed by frame,
+row and column.  All three metrics read that pairing; a frame that
+repeats an id on either side is rejected.  The three accumulators are
+pure counts so multi-sequence aggregation pools raw counts (never
+averages of scores):
 
 * ClearCounts come from per-frame matching at a fixed IoU threshold with
   match persistence: a previous frame's correspondence survives while both
   ids are present and still overlap enough; remaining pairs are assigned
-  optimally (most matches first, then highest total IoU).  An identity
-  switch is counted when a ground-truth id's matched prediction differs
-  from its most recently matched one.
+  optimally (most matches first, then highest total IoU), by the solver
+  only in a frame where two pairs at the threshold share a row or a
+  column.  An identity switch is counted when a ground-truth id's matched
+  prediction differs from its most recently matched one.
     MOTA = 1 - (FN + FP + IDSW) / gtDet
     MOTP = mean IoU over true positives (higher is better), 0 without any
 
@@ -26,10 +29,10 @@ multi-sequence aggregation pools raw counts (never averages of scores):
   every true positive c with ids (g, p) scores
   A(c) = TPA / (TPA + FNA + FPA), where TPA counts frames g matched p.
   HOTA_alpha = sqrt(DetA_alpha * AssA_alpha), and the final score averages
-  HOTA_alpha over the grid.  Each frame thresholds its IoU matrix at all
-  alphas at once; where an alpha's admissible pairs share no row and no
-  column they already are its one maximum matching, so the solver runs
-  only at the alphas where they are not.
+  HOTA_alpha over the grid.  The indexed cells are thresholded at all
+  alphas at once; where an alpha's admissible pairs in a frame share no
+  row and no column they already are its one maximum matching, so the
+  solver runs only at the alphas and frames where they are not.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .assignment import crowded, solve
-from .geometry import BoundingBox, iou_matrix
+from .geometry import BoundingBox, box_array, iou_matrix
 from .motio import MotRecord
 
 # frame -> [(id, box), ...]
@@ -130,32 +133,69 @@ def frames_from_records(records: Iterable[MotRecord]) -> FrameBoxes:
     return dict(sorted(out.items()))
 
 
-# One frame as every metric reads it: gt ids, pred ids, their gt x pred IoU.
-_PairedFrame = tuple[list[int], list[int], np.ndarray]
-
-
-def _unique_ids(items: list[tuple[int, BoundingBox]], side: str, frame: int) -> list[int]:
+def _unique_ids(items: list[tuple[int, BoundingBox]], side: str, frame: int) -> None:
     ids = [i for i, _ in items]
     if len(set(ids)) < len(ids):
         repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
         raise ValueError(f"{side}: frame {frame} repeats id {repeated}")
-    return ids
 
 
-def _pair_frames(gt: FrameBoxes, pred: FrameBoxes) -> list[_PairedFrame]:
-    """Every frame of either side, in order, with its one IoU matrix.
+class _Side:
+    """One side's rows in frame order: each row's id, its index among the
+    side's distinct ids (mapped in Python, so an id may exceed int64), the
+    boxes as one array, and each frame's first row."""
 
+    def __init__(self, frames: FrameBoxes, order: list[int]):
+        items = [frames.get(f, []) for f in order]
+        sizes = [len(rows) for rows in items]
+        self.ids = [i for rows in items for i, _ in rows]
+        index: dict[int, int] = {}
+        self.code = np.array([index.setdefault(i, len(index)) for i in self.ids],
+                             dtype=np.intp)
+        self.n_ids = len(index)
+        self.start = np.cumsum([0, *sizes])
+        self.boxes = box_array([b for rows in items for _, b in rows])
+        key = np.sort(np.repeat(np.arange(len(order)), sizes) * self.n_ids + self.code)
+        self.repeats = bool((key[1:] == key[:-1]).any())
+
+
+class _Pairing:
+    """A sequence paired once.  Each frame's IoU matrix is a view of one flat
+    array whose cells at IoU >= the lowest threshold any metric reads are
+    indexed, ascending, by frame, gt row and pred row (rows of a side).
     Raises ValueError when a frame of either side repeats an id, which the
-    CLEAR, identity and HOTA counts would otherwise read differently.
-    """
-    paired = []
-    for frame in sorted(gt.keys() | pred.keys()):
-        g = gt.get(frame, [])
-        p = pred.get(frame, [])
-        paired.append((_unique_ids(g, "ground truth", frame),
-                       _unique_ids(p, "prediction", frame),
-                       iou_matrix([b for _, b in g], [b for _, b in p])))
-    return paired
+    three counts would read differently."""
+
+    def __init__(self, gt: FrameBoxes, pred: FrameBoxes):
+        order = sorted(gt.keys() | pred.keys())
+        self.gt, self.pred = _Side(gt, order), _Side(pred, order)
+        if self.gt.repeats or self.pred.repeats:
+            for frame in order:
+                _unique_ids(gt.get(frame, []), "ground truth", frame)
+                _unique_ids(pred.get(frame, []), "prediction", frame)
+        g, p = self.gt.start.tolist(), self.pred.start.tolist()
+        mats = [iou_matrix(self.gt.boxes[a:b], self.pred.boxes[c:d])
+                for a, b, c, d in zip(g, g[1:], p, p[1:])]
+        self.flat = np.concatenate([np.empty(0), *mats], axis=None)
+        self.start = np.cumsum([0, *(m.size for m in mats)])
+        cell = np.flatnonzero(self.flat >= HOTA_ALPHAS[0])
+        self.frame = np.searchsorted(self.start, cell, side="right") - 1
+        local = cell - self.start[self.frame]
+        width = np.diff(self.pred.start)[self.frame]
+        self.gt_row = self.gt.start[self.frame] + local // width
+        self.pred_row = self.pred.start[self.frame] + local % width
+        self.iou = self.flat[cell]
+
+    def frame_at(self, f: int) -> tuple[list[int], list[int], np.ndarray]:
+        (a, b), (c, d) = self.gt.start[f:f + 2], self.pred.start[f:f + 2]
+        overlap = self.flat[self.start[f]:self.start[f + 1]].reshape(b - a, d - c)
+        return self.gt.ids[a:b], self.pred.ids[c:d], overlap
+
+    def crowded_frames(self, kept) -> list[int]:
+        """Frames where two kept cells share a row or a column."""
+        rows, cols = self.gt_row[kept], self.pred_row[kept]
+        shared = (np.bincount(rows)[rows] > 1) | (np.bincount(cols)[cols] > 1)
+        return np.unique(self.frame[kept][shared]).tolist()
 
 
 def _match_pairs(overlap: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,49 +206,57 @@ def _match_pairs(overlap: np.ndarray, threshold: float) -> tuple[np.ndarray, np.
     return solve(1.0 - overlap, overlap >= threshold)
 
 
-def _clear(frames: list[_PairedFrame]) -> ClearCounts:
-    gt_det = tp = fp = fn = idsw = 0
+def _solve_rest(g: list[int], p: list[int], overlap: np.ndarray, kept: list) -> list:
+    """The optimal matches among the rows and columns no kept pair takes."""
+    taken_g, taken_p = ({key[side] for key, _ in kept} for side in (0, 1))
+    rest_g = [r for r, i in enumerate(g) if i not in taken_g]
+    rest_p = [c for c, i in enumerate(p) if i not in taken_p]
+    if not (rest_g and rest_p):
+        return []
+    rest = overlap[np.ix_(rest_g, rest_p)]
+    rows, cols = _match_pairs(rest, CLEAR_IOU_THRESHOLD)
+    return [((g[rest_g[r]], p[rest_p[c]]), float(rest[r, c]))
+            for r, c in zip(rows.tolist(), cols.tolist())]
+
+
+def _clear(seq: _Pairing) -> ClearCounts:
+    over = seq.iou >= CLEAR_IOU_THRESHOLD
+    gt_ids, pred_ids = seq.gt.ids, seq.pred.ids
+    # ((gt id, pred id), IoU) of every pair at the threshold, by frame and row.
+    hits = list(zip(zip([gt_ids[r] for r in seq.gt_row[over].tolist()],
+                        [pred_ids[c] for c in seq.pred_row[over].tolist()]),
+                    seq.iou[over].tolist()))
+    bounds = np.searchsorted(seq.frame[over], np.arange(len(seq.start))).tolist()
+    crowded_frames = set(seq.crowded_frames(over))
+    tp = idsw = 0
     similarity_sum = 0.0
-    prev: dict[int, int] = {}        # matching carried from the previous frame
-    last_match: dict[int, int] = {}  # most recent matched pred id per gt id
-    for g, p, overlap in frames:
-        gt_det += len(g)
-        g_row = {i: r for r, i in enumerate(g)}
-        p_col = {i: c for c, i in enumerate(p)}
-
-        pairs: list[tuple[int, int, float]] = []
-        for gid, pid in prev.items():
-            if gid in g_row and pid in p_col:
-                s = float(overlap[g_row[gid], p_col[pid]])
-                if s >= CLEAR_IOU_THRESHOLD:
-                    pairs.append((gid, pid, s))
-
-        taken_g = {gid for gid, _, _ in pairs}
-        taken_p = {pid for _, pid, _ in pairs}
-        rest_g = [r for r, i in enumerate(g) if i not in taken_g]
-        rest_p = [c for c, i in enumerate(p) if i not in taken_p]
-        if rest_g and rest_p:
-            rest = overlap[np.ix_(rest_g, rest_p)]
-            rows, cols = _match_pairs(rest, CLEAR_IOU_THRESHOLD)
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                pairs.append((g[rest_g[r]], p[rest_p[c]], float(rest[r, c])))
-
-        for gid, pid, s in pairs:
-            tp += 1
+    prev: dict[tuple[int, int], int] = {}  # previous frame's matches, in order
+    last_match: dict[int, int] = {}        # most recent matched pred id per gt id
+    for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        pairs = hits[lo:hi]
+        # A match persists, first and in its previous order, while its pair
+        # still overlaps enough.  The frame's other pairs are new matches, by
+        # row, unless two of its pairs share a row or a column: then the solver picks.
+        kept = sorted((h for h in pairs if h[0] in prev), key=lambda h: prev[h[0]])
+        if f in crowded_frames:
+            pairs = kept + _solve_rest(*seq.frame_at(f), kept)
+        elif kept:
+            pairs = kept + [h for h in pairs if h[0] not in prev]
+        for (gid, pid), s in pairs:
             similarity_sum += s
             previous = last_match.get(gid)
             if previous is not None and previous != pid:
                 idsw += 1
             last_match[gid] = pid
-        fn += len(g) - len(pairs)
-        fp += len(p) - len(pairs)
-        prev = {gid: pid for gid, pid, _ in pairs}
-    return ClearCounts(gt_det, tp, fp, fn, idsw, similarity_sum)
+        tp += len(pairs)
+        prev = {key: n for n, (key, _) in enumerate(pairs)}
+    gt_det, pred_det = len(gt_ids), len(pred_ids)
+    return ClearCounts(gt_det, tp, pred_det - tp, gt_det - tp, idsw, similarity_sum)
 
 
 def match_clear(gt: FrameBoxes, pred: FrameBoxes) -> ClearCounts:
     """Per-frame CLEAR matching with persistence and switch counting."""
-    return _clear(_pair_frames(gt, pred))
+    return _clear(_Pairing(gt, pred))
 
 
 def mota(counts: ClearCounts) -> float:
@@ -222,16 +270,14 @@ def motp(counts: ClearCounts) -> float:
     return counts.similarity_sum / max(1, counts.tp)
 
 
-def _identity(frames: list[_PairedFrame]) -> IdentityCounts:
+def _identity(seq: _Pairing) -> IdentityCounts:
     """Trajectory-level matching maximizing total per-frame matches."""
-    gt_row = {i: r for r, i in enumerate(sorted({i for g, _, _ in frames for i in g}))}
-    pred_col = {i: c for c, i in enumerate(sorted({i for _, p, _ in frames for i in p}))}
+    over = seq.iou >= IDENTITY_IOU_THRESHOLD
+    g, p = seq.gt, seq.pred
     # matches[r, c]: frames where gt trajectory r and predicted trajectory c
     # overlap at IoU >= the identity threshold.
-    matches = np.zeros((len(gt_row), len(pred_col)))
-    for g, p, overlap in frames:
-        hit_g, hit_p = np.nonzero(overlap >= IDENTITY_IOU_THRESHOLD)
-        matches[[gt_row[g[r]] for r in hit_g], [pred_col[p[c]] for c in hit_p]] += 1
+    matches = np.bincount(g.code[seq.gt_row[over]] * p.n_ids + p.code[seq.pred_row[over]],
+                          minlength=g.n_ids * p.n_ids).reshape(g.n_ids, p.n_ids)
     # Minimizing the negated match counts maximizes IDTP; pairing a
     # trajectory with a zero-match partner is equivalent to leaving it
     # unpaired, so no dummy padding is needed.  Every pair stays
@@ -239,9 +285,7 @@ def _identity(frames: list[_PairedFrame]) -> IdentityCounts:
     # pairs before IDTP (a-x 10, a-y 1, b-x 1 would pair a-y and b-x).
     rows, cols = solve(-matches, np.ones(matches.shape, dtype=bool))
     idtp = int(matches[rows, cols].sum())
-    return IdentityCounts(idtp=idtp,
-                          idfp=sum(len(p) for _, p, _ in frames) - idtp,
-                          idfn=sum(len(g) for g, _, _ in frames) - idtp)
+    return IdentityCounts(idtp=idtp, idfp=len(p.ids) - idtp, idfn=len(g.ids) - idtp)
 
 
 def identity_f1(counts: IdentityCounts) -> float:
@@ -250,44 +294,36 @@ def identity_f1(counts: IdentityCounts) -> float:
 
 
 def idf1(gt: FrameBoxes, pred: FrameBoxes) -> tuple[float, IdentityCounts]:
-    counts = _identity(_pair_frames(gt, pred))
+    counts = _identity(_Pairing(gt, pred))
     return identity_f1(counts), counts
 
 
-def _hota(frames: list[_PairedFrame]) -> HotaAccumulator:
+def _hota(seq: _Pairing) -> HotaAccumulator:
     n = len(HOTA_ALPHAS)
-    thresholds = np.asarray(HOTA_ALPHAS)[:, None, None]
-    gt_rows: list[int] = []
-    pred_rows: list[int] = []
-    # (alpha index, gt row, pred row) of every matched pair, frame by frame;
-    # rows index gt_rows / pred_rows.
-    hits = [(np.empty(0, np.intp),) * 3]
-    for g, p, overlap in frames:
-        if overlap.size:
-            stack = overlap >= thresholds
-            # Where an alpha's admissible pairs share no row and no column
-            # they are its one maximum matching; elsewhere the solver picks.
-            # Each alpha admits a subset of the pairs the alpha below it
-            # admits, so most frames need only the lowest alpha checked.
-            if crowded(stack[0]):
-                for a in np.flatnonzero(crowded(stack)):
-                    rows, cols = _match_pairs(overlap, HOTA_ALPHAS[a])
-                    stack[a] = False
-                    stack[a, rows, cols] = True
-            a, r, c = np.nonzero(stack)
-            hits.append((a, r + len(gt_rows), c + len(pred_rows)))
-        gt_rows += g
-        pred_rows += p
-    alpha, gt_row, pred_row = (np.concatenate(column) for column in zip(*hits))
+    thresholds = np.asarray(HOTA_ALPHAS)[:, None]
+    admitted = seq.iou >= thresholds  # (alpha, cell)
+    # Each alpha admits a subset of the pairs the alpha below it admits, so
+    # only the frames crowded at the lowest alpha need the solver.
+    for f in seq.crowded_frames(slice(None)):
+        overlap = seq.frame_at(f)[2]
+        stack = overlap >= thresholds[:, :, None]
+        for a in np.flatnonzero(crowded(stack)):
+            rows, cols = _match_pairs(overlap, HOTA_ALPHAS[a])
+            stack[a] = False
+            stack[a, rows, cols] = True
+        lo, hi = np.searchsorted(seq.frame, [f, f + 1])
+        admitted[:, lo:hi] = stack[:, seq.gt_row[lo:hi] - seq.gt.start[f],
+                                   seq.pred_row[lo:hi] - seq.pred.start[f]]
+    alpha, cell = np.nonzero(admitted)
     tp = np.bincount(alpha, minlength=n).astype(float)
-
-    _, gt_index, gt_len = np.unique(gt_rows, return_inverse=True, return_counts=True)
-    _, pred_index, pred_len = np.unique(pred_rows, return_inverse=True, return_counts=True)
-    gi = gt_index[gt_row]
-    pi = pred_index[pred_row]
+    gi = seq.gt.code[seq.gt_row[cell]]
+    pi = seq.pred.code[seq.pred_row[cell]]
+    gt_len = np.bincount(seq.gt.code, minlength=seq.gt.n_ids)
+    pred_len = np.bincount(seq.pred.code, minlength=seq.pred.n_ids)
     # One term per (alpha, gt id, pred id).  np.add.at adds them one at a
-    # time in the order each pair was first matched, as running counts
-    # would, so every last bit holds; np.sum would add them pairwise.
+    # time in the order each pair was first matched, frame by frame within
+    # an alpha, as running counts would, so every last bit holds; np.sum
+    # would add them pairwise.
     key = (alpha * len(gt_len) + gi) * len(pred_len) + pi
     _, first, count = np.unique(key, return_index=True, return_counts=True)
     order = np.argsort(first)
@@ -295,11 +331,11 @@ def _hota(frames: list[_PairedFrame]) -> HotaAccumulator:
     terms = count * (count / (gt_len[gi[first]] + pred_len[pi[first]] - count))
     ass_sum = np.zeros(n)
     np.add.at(ass_sum, alpha[first], terms)
-    return HotaAccumulator(tp, len(gt_rows) - tp, len(pred_rows) - tp, ass_sum)
+    return HotaAccumulator(tp, len(seq.gt.ids) - tp, len(seq.pred.ids) - tp, ass_sum)
 
 
 def hota(gt: FrameBoxes, pred: FrameBoxes) -> tuple[float, HotaAccumulator]:
-    acc = _hota(_pair_frames(gt, pred))
+    acc = _hota(_Pairing(gt, pred))
     return acc.score(), acc
 
 
@@ -336,8 +372,8 @@ def evaluate_sequences(
         raise UndefinedMetricError("no sequences to evaluate")
     counts = []
     for gt, pred in pairs:
-        frames = _pair_frames(gt, pred)
-        counts.append((_clear(frames), _identity(frames), _hota(frames)))
+        seq = _Pairing(gt, pred)
+        counts.append((_clear(seq), _identity(seq), _hota(seq)))
     clear, identity, acc = (reduce(add, column) for column in zip(*counts))
     return _report_from(clear, identity, acc)
 

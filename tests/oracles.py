@@ -3,9 +3,12 @@
 Everything here is deliberately dumb: counting grids, hand-expanded 2x2
 matrix algebra, the Kalman filter as full 8x8 matrices, exhaustive
 enumeration.  None of it shares code with the implementations under test,
-except ``hota_per_alpha``: it keeps the package's solver, itself checked
-against ``solve_bruteforce``, and runs it at every alpha of every frame, so
-it checks what HOTA skips around it.
+except the per-frame metrics: ``pair_per_frame`` keeps the package's IoU
+kernel, itself checked against ``iou_scalar``, and ``clear_per_frame``,
+``identity_per_frame`` and ``hota_per_alpha`` keep its solver, itself
+checked against ``solve_bruteforce``.  They walk the sequence frame by
+frame, with the solver on every frame (and, for HOTA, at every alpha), so
+they check what the package reads off arrays and skips around it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from wintrack.assignment import solve
-from wintrack.geometry import BoundingBox
-from wintrack.metrics import HOTA_ALPHAS
+from wintrack.geometry import BoundingBox, iou_matrix
+from wintrack.metrics import (
+    CLEAR_IOU_THRESHOLD,
+    HOTA_ALPHAS,
+    IDENTITY_IOU_THRESHOLD,
+    ClearCounts,
+    IdentityCounts,
+)
 
 BRUTEFORCE_MAX_DIM = 8
 
@@ -315,7 +324,7 @@ def hota_per_alpha(frames):
     forced alphas off one mask stack: the solver at every alpha of every
     frame, and one running pair count per alpha.
 
-    ``frames`` is the package's pairing, (gt ids, pred ids, IoU matrix) per
+    ``frames`` is ``pair_per_frame``'s (gt ids, pred ids, IoU matrix) per
     frame.  Returns (tp, fn, fp, ass_sum), each one float per alpha.
     """
     n = len(HOTA_ALPHAS)
@@ -340,3 +349,72 @@ def hota_per_alpha(frames):
         for (gid, pid), count in pair_counts[a].items():
             ass_sum[a] += count * (count / (gt_len[gid] + pred_len[pid] - count))
     return tp, fn, fp, ass_sum
+
+
+def pair_per_frame(gt_frames, pred_frames):
+    """Every frame of either side, in order, as (gt ids, pred ids, IoU
+    matrix): one ``iou_matrix`` call per frame on that frame's boxes."""
+    return [([i for i, _ in gt_frames.get(f, [])],
+             [i for i, _ in pred_frames.get(f, [])],
+             iou_matrix([b for _, b in gt_frames.get(f, [])],
+                        [b for _, b in pred_frames.get(f, [])]))
+            for f in sorted(gt_frames.keys() | pred_frames.keys())]
+
+
+def clear_per_frame(frames) -> ClearCounts:
+    """CLEAR counts as the package computed them before it read matches off
+    one pairing: per frame, the previous frame's surviving matches first,
+    then the solver over the rest, on every frame."""
+    gt_det = tp = fp = fn = idsw = 0
+    similarity_sum = 0.0
+    prev: dict[int, int] = {}        # matching carried from the previous frame
+    last_match: dict[int, int] = {}  # most recent matched pred id per gt id
+    for g, p, overlap in frames:
+        gt_det += len(g)
+        g_row = {i: r for r, i in enumerate(g)}
+        p_col = {i: c for c, i in enumerate(p)}
+
+        pairs: list[tuple[int, int, float]] = []
+        for gid, pid in prev.items():
+            if gid in g_row and pid in p_col:
+                s = float(overlap[g_row[gid], p_col[pid]])
+                if s >= CLEAR_IOU_THRESHOLD:
+                    pairs.append((gid, pid, s))
+
+        taken_g = {gid for gid, _, _ in pairs}
+        taken_p = {pid for _, pid, _ in pairs}
+        rest_g = [r for r, i in enumerate(g) if i not in taken_g]
+        rest_p = [c for c, i in enumerate(p) if i not in taken_p]
+        if rest_g and rest_p:
+            rest = overlap[np.ix_(rest_g, rest_p)]
+            rows, cols = solve(1.0 - rest, rest >= CLEAR_IOU_THRESHOLD)
+            for r, c in zip(rows.tolist(), cols.tolist()):
+                pairs.append((g[rest_g[r]], p[rest_p[c]], float(rest[r, c])))
+
+        for gid, pid, s in pairs:
+            tp += 1
+            similarity_sum += s
+            previous = last_match.get(gid)
+            if previous is not None and previous != pid:
+                idsw += 1
+            last_match[gid] = pid
+        fn += len(g) - len(pairs)
+        fp += len(p) - len(pairs)
+        prev = {gid: pid for gid, pid, _ in pairs}
+    return ClearCounts(gt_det, tp, fp, fn, idsw, similarity_sum)
+
+
+def identity_per_frame(frames) -> IdentityCounts:
+    """Identity counts as the package computed them before it read matches
+    off one pairing: the match matrix summed frame by frame."""
+    gt_row = {i: r for r, i in enumerate(sorted({i for g, _, _ in frames for i in g}))}
+    pred_col = {i: c for c, i in enumerate(sorted({i for _, p, _ in frames for i in p}))}
+    matches = np.zeros((len(gt_row), len(pred_col)))
+    for g, p, overlap in frames:
+        hit_g, hit_p = np.nonzero(overlap >= IDENTITY_IOU_THRESHOLD)
+        matches[[gt_row[g[r]] for r in hit_g], [pred_col[p[c]] for c in hit_p]] += 1
+    rows, cols = solve(-matches, np.ones(matches.shape, dtype=bool))
+    idtp = int(matches[rows, cols].sum())
+    return IdentityCounts(idtp=idtp,
+                          idfp=sum(len(p) for _, p, _ in frames) - idtp,
+                          idfn=sum(len(g) for g, _, _ in frames) - idtp)

@@ -164,6 +164,18 @@ class TestEval:
         assert out[0].startswith("idf1,hota,mota,motp")
         assert out[1].startswith("100.0,100.0,100.0,100.0")
 
+    def test_result_id_beyond_int64_is_scored(self, tmp_path, capsys):
+        # 1e20 reads as the integer 10**20, past int64, and is scored as
+        # any other id.
+        gt_path, res_path = tmp_path / "gt.txt", tmp_path / "res.txt"
+        gt_path.write_text("1,1,10,20,30,40,1,1,1\n")
+        res_path.write_text("1,1e20,10,20,30,40,1,-1,-1,-1\n")
+        code = main(["eval", "--gt", str(gt_path), "--res", str(res_path),
+                     "--format", "csv"])
+        assert code == 0
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert row == "100.0,100.0,100.0,100.0,100.0,100.0,1,1,0,0,0,1,0,0"
+
 
 class TestSweep:
     def test_default_sweep_emits_five_rows(self, scene_files, capsys):

@@ -23,6 +23,27 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(0, math.inf, 1, 1)
 
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value, error, message", [
+        (math.nan, ValueError, "box field {name!r} must be finite"),
+        (-math.inf, ValueError, "box field {name!r} must be finite"),
+        (np.float32(np.inf), ValueError, "box field {name!r} must be finite"),
+        (10 ** 400, OverflowError, "int too large to convert to float"),
+        ("1", TypeError, "must be real number, not str"),
+    ])
+    def test_first_bad_field_decides_the_error(self, field, value, error, message):
+        # h is 0 unless it is the field under test: a later bad side never
+        # hides an earlier bad field.
+        fields = [1.0, 2.0, 3.0, 0.0]
+        fields[field] = value
+        with pytest.raises(error, match=message.format(name="xywh"[field])):
+            BoundingBox(*fields)
+
+    def test_zero_side_named_after_finite_fields(self):
+        with pytest.raises(ValueError, match=r"box sides must be positive, got w=0, h=10"):
+            BoundingBox(0, 0, 0, 10)
+
+
 class TestIou:
     """One pair at a time: each check reads the 1x1 iou_matrix."""
 

@@ -6,17 +6,25 @@ import pytest
 
 import wintrack.metrics
 from conftest import random_scenario
-from oracles import hota_per_alpha, idf1_bruteforce
+from oracles import (
+    clear_per_frame,
+    hota_per_alpha,
+    identity_per_frame,
+    idf1_bruteforce,
+    pair_per_frame,
+)
 from test_golden import dense_crossing_scenario
+from wintrack.assignment import crowded
 from wintrack.geometry import BoundingBox, iou_matrix
 from wintrack.metrics import (
     HOTA_ALPHAS,
+    HotaAccumulator,
     UndefinedMetricError,
-    _pair_frames,
     evaluate,
     evaluate_sequences,
     frames_from_records,
     hota,
+    identity_f1,
     idf1,
     match_clear,
     mota,
@@ -24,7 +32,7 @@ from wintrack.metrics import (
     report_csv,
     report_table,
 )
-from wintrack.synth import bundled_scenario, generate
+from wintrack.synth import BUNDLED_SUITE, bundled_scenario, generate
 from wintrack.trackers import TRACKER_KINDS, TrackerConfig, make_tracker, run_tracker
 from wintrack.window import WindowedTracker, run_windowed
 
@@ -275,7 +283,7 @@ class TestHotaSolverCalls:
 
 def assert_hota_equals_oracle(gt, pred):
     _, acc = hota(gt, pred)
-    expected = hota_per_alpha(_pair_frames(gt, pred))
+    expected = hota_per_alpha(pair_per_frame(gt, pred))
     for got, want in zip((acc.tp, acc.fn, acc.fp, acc.ass_sum), expected):
         assert got.tobytes() == want.tobytes()
 
@@ -305,6 +313,103 @@ class TestHotaOracle:
         assert_hota_equals_oracle(frames_from_records(gt.evaluable()),
                                   frames_from_records(out))
         assert len(calls) > 100  # many crowded alphas are exercised
+
+
+class TestClearSolverCalls:
+    """CLEAR calls the solver only in a frame where two pairs at its
+    threshold share a row or a column; elsewhere those pairs are the
+    frame's new matches."""
+
+    def test_scene_without_a_contended_frame_never_calls_the_solver(self, monkeypatch):
+        gt, dets = generate(bundled_scenario("idswitch"))
+        gt_frames = frames_from_records(gt.evaluable())
+        pred = frames_from_records(run_tracker(make_tracker(TrackerConfig(kind="sort")), dets))
+        assert not any(crowded(overlap >= 0.5)
+                       for _, _, overlap in pair_per_frame(gt_frames, pred) if overlap.size)
+        calls = count_solver_calls(monkeypatch)
+        counts = match_clear(gt_frames, pred)
+        assert calls == []
+        assert counts.tp > 0 and counts.idsw > 0
+
+    def test_one_contended_frame_is_solved_alone(self, monkeypatch):
+        # Frame 1: gt 1 overlaps pred 7 at IoU 80/120 = 2/3 and pred 8 at
+        # 90/110 = 9/11; the solver keeps the larger, (1, 8).  Frame 2: pred 8
+        # is gone and (1, 7) is the one pair at 0.5, a new match and a switch.
+        g = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        p7, p8 = BoundingBox(2.0, 0.0, 10.0, 10.0), BoundingBox(-1.0, 0.0, 10.0, 10.0)
+        gt = {1: [(1, g)], 2: [(1, g)]}
+        pred = {1: [(7, p7), (8, p8)], 2: [(7, p7)]}
+        calls = count_solver_calls(monkeypatch)
+        counts = match_clear(gt, pred)
+        assert calls == [0.5]
+        assert (counts.gt_det, counts.tp, counts.fp, counts.fn, counts.idsw) == (2, 2, 1, 0, 1)
+        assert counts.similarity_sum == 90.0 / 110.0 + 80.0 / 120.0
+
+
+def score_hexes(clear, identity, acc) -> list:
+    try:
+        mota_hex = mota(clear).hex()
+    except UndefinedMetricError:
+        mota_hex = None
+    return [mota_hex, motp(clear).hex(), identity_f1(identity).hex(), acc.score().hex(),
+            float(np.mean(acc.det_a_per_alpha())).hex(),
+            float(np.mean(acc.ass_a_per_alpha())).hex()]
+
+
+def assert_equals_per_frame_oracles(gt, pred):
+    """Every count and score equals, bit for bit, the per-frame oracles'."""
+    frames = pair_per_frame(gt, pred)
+    clear, (_, identity), (_, acc) = match_clear(gt, pred), idf1(gt, pred), hota(gt, pred)
+    want_clear, want_identity = clear_per_frame(frames), identity_per_frame(frames)
+    want_acc = HotaAccumulator(*hota_per_alpha(frames))
+    assert repr(clear) == repr(want_clear)
+    assert repr(identity) == repr(want_identity)
+    for got, want in zip((acc.tp, acc.fn, acc.fp, acc.ass_sum),
+                         (want_acc.tp, want_acc.fn, want_acc.fp, want_acc.ass_sum)):
+        assert got.tobytes() == want.tobytes()
+    scores = score_hexes(clear, identity, acc)
+    assert scores == score_hexes(want_clear, want_identity, want_acc)
+    if clear.gt_det:
+        report = evaluate(gt, pred)
+        assert [float(getattr(report, f)).hex() for f in
+                ("mota", "motp", "idf1", "hota", "det_a", "ass_a")] == scores
+
+
+def differential_scenario(name: str):
+    return bundled_scenario(name) if name in BUNDLED_SUITE else random_scenario(int(name))
+
+
+class TestPerFrameOracles:
+    """The metrics read matches off one pairing of the sequence; the oracles
+    walk it frame by frame with the solver on every frame."""
+
+    @pytest.mark.parametrize("name", [*BUNDLED_SUITE, *map(str, range(12))])
+    def test_scenes_solo_and_windowed(self, name):
+        gt, dets = generate(differential_scenario(name))
+        gt_frames = frames_from_records(gt.evaluable())
+        outs = [run_tracker(make_tracker(TrackerConfig(kind=kind)), dets)
+                for kind in TRACKER_KINDS]
+        outs += [run_windowed(WindowedTracker(make_tracker(TrackerConfig(kind=l1)),
+                                              make_tracker(TrackerConfig(kind=l2)), k), dets)
+                 for k in (2, 3, 5) for l1 in TRACKER_KINDS for l2 in TRACKER_KINDS]
+        for out in outs:
+            assert_equals_per_frame_oracles(gt_frames, frames_from_records(out))
+
+    def test_random_micro_instances(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            assert_equals_per_frame_oracles(*random_micro_instance(rng))
+
+    def test_contended_instances(self):
+        # Boxes on a coarse grid: pairs tie and crowd at every threshold.
+        rng = random.Random(12)
+        for _ in range(200):
+            frames = range(1, rng.randint(2, 10))
+            gt, pred = ({f: [(i, BoundingBox(rng.choice([0, 1, 2, 3]), rng.choice([0, 1]),
+                                             rng.choice([4, 5, 6]), 5.0))
+                             for i in rng.sample(range(1, 7), rng.randint(0, 4))]
+                         for f in frames} for _ in range(2))
+            assert_equals_per_frame_oracles(gt, pred)
 
 
 class TestEvaluate:
@@ -371,6 +476,16 @@ class TestEvaluate:
         bad = {1: [(1, box(50.0, 50.0))], 3: [(2, box(0, 0)), (2, box(20, 20))]}
         with pytest.raises(ValueError, match=r"ground truth.* frame 3 .*id 2"):
             score(bad, gt)
+
+    def test_predicted_id_beyond_int64_scores_like_any_other(self):
+        gt, pred = crossed_two_by_two()
+        wide = {f: [(2 ** 70 if i == 11 else i, b) for i, b in items]
+                for f, items in pred.items()}
+        want, got = evaluate(gt, pred), evaluate(gt, wide)
+        assert repr(got.clear) == repr(want.clear)
+        assert repr(got.identity) == repr(want.identity)
+        for field in ("mota", "motp", "idf1", "hota", "det_a", "ass_a"):
+            assert getattr(got, field).hex() == getattr(want, field).hex()
 
     def test_one_iou_matrix_per_frame(self, monkeypatch):
         gt, dets = generate(bundled_scenario("crossing"))
