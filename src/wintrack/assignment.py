@@ -26,8 +26,6 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _as_cost_matrix(cost) -> np.ndarray:
     m = np.asarray(cost, dtype=float)
-    if m.ndim == 1 and m.size == 0:
-        m = m.reshape(0, 0)
     if m.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {m.shape}")
     if m.size and not np.all(np.isfinite(m)):

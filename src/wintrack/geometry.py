@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -40,31 +40,20 @@ class BoundingBox:
         return BoundingBox(self.x + dx, self.y + dy, self.w, self.h)
 
 
-Boxes = Union[Sequence[BoundingBox], np.ndarray]
-
-
 def box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """Boxes as one (N, 4) array of (x, y, w, h) rows."""
     return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
 
-def _columns(boxes: Boxes) -> np.ndarray:
-    """(x, y, w, h) as four rows of shape (4, len(boxes))."""
-    if isinstance(boxes, np.ndarray):
-        return np.asarray(boxes, dtype=float).reshape(-1, 4).T
-    return box_array(boxes).T
-
-
-def iou_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
+def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """IoU of every row box against every column box, shape (len(rows), len(cols)).
 
-    Either side is a sequence of boxes or an (N, 4) array of (x, y, w, h)
-    rows.  Each entry lies in [0, 1]: touching boxes (zero-area
-    intersection) score 0 and equal boxes exactly 1.  Swapping the
-    arguments transposes the result exactly.
+    Each side is an (N, 4) array of (x, y, w, h) rows.  Each entry lies in
+    [0, 1]: touching boxes (zero-area intersection) score 0 and equal boxes
+    exactly 1.  Swapping the arguments transposes the result exactly.
     """
-    ax, ay, aw, ah = _columns(rows)[:, :, None]
-    bx, by, bw, bh = _columns(cols)[:, None, :]
+    ax, ay, aw, ah = np.asarray(rows, dtype=float).reshape(-1, 4).T[:, :, None]
+    bx, by, bw, bh = np.asarray(cols, dtype=float).reshape(-1, 4).T[:, None, :]
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
     inter = iw * ih
@@ -74,7 +63,7 @@ def iou_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
     return out
 
 
-def iou_distance_matrix(rows: Boxes, cols: Boxes) -> np.ndarray:
+def iou_distance_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Association cost matrix: 1 - iou_matrix(rows, cols).
 
     Either side may be empty; the result then has a zero-length dimension.

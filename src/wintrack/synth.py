@@ -123,10 +123,9 @@ class Scenario:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        if not isinstance(self.frame_count, Integral) or self.frame_count < 1:
-            raise ScenarioError(
-                f"frame_count must be an integer >= 1, got {self.frame_count!r}"
-            )
+        count = self.frame_count
+        if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
+            raise ScenarioError(f"frame_count must be an integer >= 1, got {count!r}")
         n = len(self.targets)
         for t, *_ in (*self.noise.dropout_windows, *self.noise.confidence_dips):
             if t > n:

@@ -23,8 +23,9 @@ observed boxes, and the frames-since-update and hit-streak counters.  A
 step turns the frame's detections into one (N, 4) box array and one (N,)
 confidence array, predicts every row in one Kalman call, masks out rows
 whose predicted size is not positive, associates on arrays, updates all
-matched rows in one call, starts all new tracks in one call and retires
-rows by one order-keeping compaction.  Association takes the solver's
+matched rows in one call, starts all new tracks in one call, emits the
+matched and new rows whose hit streak reaches min_hits, and retires rows
+by one order-keeping compaction.  Association takes the solver's
 matched rows and columns as index arrays, rows ascending; the unmatched
 tracks and detections are their complements, which keep ascending order,
 so tracks spawn in detection order.  Only OC-SORT's recovery replay steps
@@ -41,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from .assignment import solve
-from .geometry import BoundingBox, Boxes, box_array, iou_distance_matrix
-from .kalman import KalmanState, MotionFilter
+from .geometry import BoundingBox, box_array, iou_distance_matrix
+from .kalman import MotionFilter
 from .motio import Detection, MotRecord
 
 TRACKER_KINDS = ("sort", "bytetrack", "ocsort")
@@ -75,7 +76,7 @@ class TrackerConfig:
             raise ValueError("iou_gate must be in [0, 1]")
         for name in ("max_age", "min_hits", "ocm_delta_t"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 <= self.low_conf_threshold <= self.high_conf_threshold <= 1.0:
             raise ValueError("need 0 <= low_conf_threshold <= high_conf_threshold <= 1")
@@ -117,10 +118,10 @@ class _TrackTable:
     streak: np.ndarray     # (T,) consecutive updated frames
 
     @classmethod
-    def new(cls, ids, state: KalmanState, boxes, history_len: int) -> "_TrackTable":
+    def new(cls, ids, mean, cov, boxes, history_len: int) -> "_TrackTable":
         """Rows for new tracks, each updated once, by its (x, y, w, h) box."""
         n = len(ids)
-        return cls(ids, state.mean, state.covariance, state.mean, state.covariance,
+        return cls(ids, mean, cov, mean, cov,
                    np.repeat(boxes[:, None, :], history_len, axis=1),
                    np.ones(n, dtype=int), np.zeros(n, dtype=int), np.ones(n, dtype=int))
 
@@ -145,7 +146,7 @@ def _measurements(boxes: np.ndarray) -> np.ndarray:
     return np.concatenate([_centers(boxes), boxes[:, 2:]], axis=1)
 
 
-def associate_iou(track_boxes: Boxes, detection_boxes: Boxes,
+def associate_iou(track_boxes: np.ndarray, detection_boxes: np.ndarray,
                   gate: float) -> tuple[np.ndarray, np.ndarray]:
     """Gated IoU-distance assignment of tracks (rows) to detections (cols):
     the matched rows, ascending, and their detections.
@@ -184,7 +185,7 @@ class _TrackerBase:
         self._filter = MotionFilter()
         self._history_len = config.ocm_delta_t + 1
         empty = np.zeros((0, 4))
-        self._table = _TrackTable.new(_NO_INDEX, self._filter.init_state(empty), empty,
+        self._table = _TrackTable.new(_NO_INDEX, *self._filter.init_state(empty), empty,
                                       self._history_len)
         self._next_id = 1
         self._last_frame = 0
@@ -221,8 +222,7 @@ class _TrackerBase:
 
         t = self._table
         if len(t.ids):
-            predicted = self._filter.predict(KalmanState(t.mean, t.cov))
-            t.mean, t.cov = predicted.mean, predicted.covariance
+            t.mean, t.cov = self._filter.predict(t.mean, t.cov)
         # A track whose predicted size is not positive has no box to match
         # this frame; it sits association out rather than be emitted.
         size = t.mean[:, 2:4]
@@ -232,9 +232,9 @@ class _TrackerBase:
         rows, cols, spawn = self._associate(pred_boxes, valid, boxes, confidences)
 
         if len(rows):
-            updated = self._updated(rows, z[cols])
-            t.mean[rows] = t.mean_upd[rows] = updated.mean
-            t.cov[rows] = t.cov_upd[rows] = updated.covariance
+            mean, cov = self._updated(rows, z[cols])
+            t.mean[rows] = t.mean_upd[rows] = mean
+            t.cov[rows] = t.cov_upd[rows] = cov
             t.obs[rows, :-1] = t.obs[rows, 1:]
             t.obs[rows, -1] = boxes[cols]
             t.n_obs[rows] += 1
@@ -242,28 +242,28 @@ class _TrackerBase:
         t.since[rows] = 0
         t.streak = np.where(t.since == 0, t.streak + 1, 0)
 
-        ids, streak, min_hits = t.ids.tolist(), t.streak.tolist(), self.config.min_hits
-        emitted = [MotRecord(frame, ids[r], dets[c].box, dets[c].confidence)
-                   for r, c in zip(rows.tolist(), cols.tolist()) if streak[r] >= min_hits]
-
         if len(spawn):
             new_ids = np.arange(self._next_id, self._next_id + len(spawn))
             self._next_id += len(spawn)
-            t = t.extend(_TrackTable.new(new_ids, self._filter.init_state(z[spawn]),
+            # New rows are emitted by the matched rows' rule, after them.
+            rows = np.concatenate([rows, len(t.ids) + np.arange(len(spawn))])
+            cols = np.concatenate([cols, spawn])
+            t = t.extend(_TrackTable.new(new_ids, *self._filter.init_state(z[spawn]),
                                          boxes[spawn], self._history_len))
-            if min_hits <= 1:
-                emitted += [MotRecord(frame, i, dets[c].box, dets[c].confidence)
-                            for c, i in zip(spawn.tolist(), new_ids.tolist())]
+
+        ids, streak, min_hits = t.ids.tolist(), t.streak.tolist(), self.config.min_hits
+        emitted = [MotRecord(frame, ids[r], dets[c].box, dets[c].confidence)
+                   for r, c in zip(rows.tolist(), cols.tolist()) if streak[r] >= min_hits]
 
         keep = t.since <= self.config.max_age
         self._table = t if keep.all() else t.take(keep)
         return emitted
 
-    def _updated(self, rows: np.ndarray, z: np.ndarray) -> KalmanState:
-        """The states of the table rows updated against their (cx, cy, w, h)
-        measurements, one row of z each."""
+    def _updated(self, rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (mean, cov) of the table rows updated against their
+        (cx, cy, w, h) measurements, one row of z each."""
         t = self._table
-        return self._filter.update(KalmanState(t.mean[rows], t.cov[rows]), z)
+        return self._filter.update(t.mean[rows], t.cov[rows], z)
 
     def _associate(self, pred_boxes: np.ndarray, valid: np.ndarray,
                    boxes: np.ndarray, confidences: np.ndarray):
@@ -346,14 +346,13 @@ class OcSortTracker(_TrackerBase):
         return tracks[rows], cols, np.delete(np.arange(len(boxes)), cols)
 
     def _updated(self, rows, z):
-        state = super()._updated(rows, z)
+        mean, cov = super()._updated(rows, z)
         # A track re-found after a gap is replayed on its own instead.
         for i in np.flatnonzero((self._table.since[rows] >= 1) & self.config.oru_enabled):
-            replayed = self._replayed(int(rows[i]), z[i])
-            state.mean[i], state.covariance[i] = replayed.mean, replayed.covariance
-        return state
+            mean[i], cov[i] = self._replayed(int(rows[i]), z[i])
+        return mean, cov
 
-    def _replayed(self, row: int, z: np.ndarray) -> KalmanState:
+    def _replayed(self, row: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Replay the filter over the gap: from the state at the last real
         # observation, feed linearly interpolated virtual boxes, then the
         # current observation, exactly as if none had been missed.  Each
@@ -364,14 +363,15 @@ class OcSortTracker(_TrackerBase):
         x, y, w, h = t.obs[row, -1].tolist()
         c0 = (x + w / 2.0, y + h / 2.0, w, h)
         c1 = z.tolist()
-        state = KalmanState(t.mean_upd[row], t.cov_upd[row])
+        kf = self._filter
+        mean, cov = t.mean_upd[row], t.cov_upd[row]
         for j in range(1, gap + 1):
             f = j / (gap + 1)
             cx, cy, w, h = (a + (b - a) * f for a, b in zip(c0, c1))
             x, y = cx - w / 2.0, cy - h / 2.0
             virtual = np.array([x + w / 2.0, y + h / 2.0, w, h])
-            state = self._filter.update(self._filter.predict(state), virtual)
-        return self._filter.update(self._filter.predict(state), z)
+            mean, cov = kf.update(*kf.predict(mean, cov), virtual)
+        return kf.update(*kf.predict(mean, cov), z)
 
 
 _TRACKER_CLASSES = {

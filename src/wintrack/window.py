@@ -30,7 +30,7 @@ from numbers import Integral
 from typing import Optional, Sequence
 
 from .assignment import solve
-from .geometry import iou_matrix
+from .geometry import box_array, iou_matrix
 from .motio import Detection, MotRecord
 from .trackers import _TrackerBase
 
@@ -61,7 +61,7 @@ class WindowedTracker:
     """Composes a per-frame level-1 tracker with a per-window level-2 tracker."""
 
     def __init__(self, level1: _TrackerBase, level2: _TrackerBase, k: int):
-        if not isinstance(k, Integral) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
             raise ValueError(f"window length k must be an integer >= 1, got {k!r}")
         self.level1 = level1
         self.level2 = level2
@@ -102,10 +102,8 @@ class WindowedTracker:
         level2_out = self.level2.step(last_frame, pseudo)
 
         # One IoU call per window; each frame is matched on its own rows.
-        overlap = iou_matrix(
-            [td.box for td in rows],
-            [td.box for td in level2_out],
-        )
+        overlap = iou_matrix(box_array([td.box for td in rows]),
+                             box_array([td.box for td in level2_out]))
         level2_ids = [n if n <= UNMATCHED_ID_OFFSET else 2 * n
                       for n in (td.track_id for td in level2_out)]
         corrected: list[MotRecord] = []

@@ -7,8 +7,9 @@ except the per-frame metrics: ``pair_per_frame`` keeps the package's IoU
 kernel, itself checked against ``iou_scalar``, and ``clear_per_frame``,
 ``identity_per_frame`` and ``hota_per_alpha`` keep its solver, itself
 checked against ``solve_bruteforce``.  They walk the sequence frame by
-frame, with the solver on every frame (and, for HOTA, at every alpha), so
-they check what the package reads off arrays and skips around it.
+frame, with the solver on every frame (and, for HOTA, once per distinct
+admissible mask of the frame's alphas), so they check what the package
+reads off arrays and skips around it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from wintrack.assignment import solve
-from wintrack.geometry import BoundingBox, iou_matrix
+from wintrack.geometry import BoundingBox, box_array, iou_matrix
 from wintrack.metrics import (
     CLEAR_IOU_THRESHOLD,
     HOTA_ALPHAS,
@@ -321,8 +322,10 @@ def solve_bruteforce(cost, admissible=None) -> tuple[np.ndarray, np.ndarray]:
 
 def hota_per_alpha(frames):
     """HOTA's per-alpha counts as the package computed them before it read
-    forced alphas off one mask stack: the solver at every alpha of every
-    frame, and one running pair count per alpha.
+    forced alphas off one mask stack: the solver on every frame, once per
+    distinct admissible mask (each alpha whose mask is the same reuses that
+    matching, which is what solving it again would return), and one
+    running pair count per alpha.
 
     ``frames`` is ``pair_per_frame``'s (gt ids, pred ids, IoU matrix) per
     frame.  Returns (tp, fn, fp, ass_sum), each one float per alpha.
@@ -336,8 +339,13 @@ def hota_per_alpha(frames):
     pair_counts: list[Counter] = [Counter() for _ in range(n)]
 
     for g, p, overlap in frames:
+        matchings: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         for a, alpha in enumerate(HOTA_ALPHAS):
-            rows, cols = solve(1.0 - overlap, overlap >= alpha)
+            mask = overlap >= alpha
+            key = mask.tobytes()
+            if key not in matchings:
+                matchings[key] = solve(1.0 - overlap, mask)
+            rows, cols = matchings[key]
             tp[a] += len(rows)
             fn[a] += len(g) - len(rows)
             fp[a] += len(p) - len(rows)
@@ -356,8 +364,8 @@ def pair_per_frame(gt_frames, pred_frames):
     matrix): one ``iou_matrix`` call per frame on that frame's boxes."""
     return [([i for i, _ in gt_frames.get(f, [])],
              [i for i, _ in pred_frames.get(f, [])],
-             iou_matrix([b for _, b in gt_frames.get(f, [])],
-                        [b for _, b in pred_frames.get(f, [])]))
+             iou_matrix(box_array([b for _, b in gt_frames.get(f, [])]),
+                        box_array([b for _, b in pred_frames.get(f, [])])))
             for f in sorted(gt_frames.keys() | pred_frames.keys())]
 
 

@@ -16,11 +16,10 @@ import pytest
 from oracles import ScalarKalman, grid_iou, idf1_bruteforce, solve_bruteforce, total_cost
 from wintrack.assignment import solve
 from wintrack.cli import main
-from wintrack.geometry import BoundingBox, iou_matrix
+from wintrack.geometry import BoundingBox, box_array, iou_matrix
 from wintrack.kalman import (
     DEFAULT_POSITION_WEIGHT,
     DEFAULT_VELOCITY_WEIGHT,
-    KalmanState,
     MotionFilter,
 )
 from wintrack.metrics import (
@@ -91,11 +90,12 @@ def test_criterion_2_iou_oracle():
 
         for _ in range(1000):
             a, b = rb(), rb()
-            v = iou_matrix([a], [b])[0, 0]
+            v = iou_matrix(box_array([a]), box_array([b]))[0, 0]
             assert abs(v - grid_iou(a, b)) <= 1e-3
-            assert v == iou_matrix([b], [a])[0, 0]
+            assert v == iou_matrix(box_array([b]), box_array([a]))[0, 0]
             assert 0.0 <= v <= 1.0
-        assert iou_matrix([rb()], [rb().translated(1000.0, 0.0)])[0, 0] == 0.0
+        assert iou_matrix(box_array([rb()]),
+                          box_array([rb().translated(1000.0, 0.0)]))[0, 0] == 0.0
 
 
 def test_criterion_3_kalman_oracles():
@@ -111,36 +111,35 @@ def test_criterion_3_kalman_oracles():
             mean[0], mean[3], mean[4] = x0, rng.uniform(2.0, 30.0), v0
             cov = np.zeros((3, 4))
             cov[0, 0], cov[2, 0] = p[0][0], p[1][1]
-            state = KalmanState(mean, cov)
             for _ in range(rng.randint(3, 15)):
                 # q comes from the prior height and r from the measured one.
-                h = state.mean[3]
+                h = mean[3]
                 oracle.predict((DEFAULT_POSITION_WEIGHT * h) ** 2,
                                (DEFAULT_VELOCITY_WEIGHT * h) ** 2)
-                state = motion.predict(state)
+                mean, cov = motion.predict(mean, cov)
                 z = oracle.x + rng.uniform(-3, 3)
                 measurement = np.array([z, 0.0, 1.0, rng.uniform(4.0, 30.0)])
                 oracle.update(z, (DEFAULT_POSITION_WEIGHT * measurement[3]) ** 2)
-                state = motion.update(state, measurement)
-                assert abs(state.mean[0] - oracle.x) <= 1e-10
-                assert abs(state.mean[4] - oracle.v) <= 1e-10
-                assert abs(state.covariance[0, 0] - oracle.p[0][0]) <= 1e-10
-                assert abs(state.covariance[1, 0] - oracle.p[0][1]) <= 1e-10
-                assert abs(state.covariance[2, 0] - oracle.p[1][1]) <= 1e-10
+                mean, cov = motion.update(mean, cov, measurement)
+                assert abs(mean[0] - oracle.x) <= 1e-10
+                assert abs(mean[4] - oracle.v) <= 1e-10
+                assert abs(cov[0, 0] - oracle.p[0][0]) <= 1e-10
+                assert abs(cov[1, 0] - oracle.p[0][1]) <= 1e-10
+                assert abs(cov[2, 0] - oracle.p[1][1]) <= 1e-10
 
         def assert_blocks_psd(cov):
             p00, p01, p11 = cov
             assert np.min(p00) >= 0 and np.min(p11) >= 0
             assert np.min(p00 * p11 - p01 ** 2) >= -1e-9
 
-        state = motion.init_state(np.array([15.0, 30.0, 30.0, 60.0]))
+        mean, cov = motion.init_state(np.array([15.0, 30.0, 30.0, 60.0]))
         for _ in range(1000):
-            state = motion.predict(state)
-            assert_blocks_psd(state.covariance)
+            mean, cov = motion.predict(mean, cov)
+            assert_blocks_psd(cov)
             z = center_form(BoundingBox(rng.uniform(-5, 5), rng.uniform(-5, 5),
                                         rng.uniform(20, 40), rng.uniform(50, 70)))
-            state = motion.update(state, z)
-            assert_blocks_psd(state.covariance)
+            mean, cov = motion.update(mean, cov, z)
+            assert_blocks_psd(cov)
 
 
 def test_criterion_4_metrics_exactness():
@@ -199,12 +198,13 @@ def test_criterion_5_tracker_degeneracies(tmp_path):
         out = tracker.step(9, [boxes[9]])
         assert [td.track_id for td in out] == [1]
         motion = MotionFilter()
-        state = motion.init_state(center_form(boxes[1].box))
+        mean, cov = motion.init_state(center_form(boxes[1].box))
         for f in range(2, 10):
-            state = motion.update(motion.predict(state), center_form(boxes[f].box))
+            mean, cov = motion.update(*motion.predict(mean, cov),
+                                      center_form(boxes[f].box))
         assert [track.id for track in tracker.tracks] == [1]
-        assert np.max(np.abs(tracker._table.mean[0] - state.mean)) <= 1e-8
-        assert np.max(np.abs(tracker._table.cov[0] - state.covariance)) <= 1e-8
+        assert np.max(np.abs(tracker._table.mean[0] - mean)) <= 1e-8
+        assert np.max(np.abs(tracker._table.cov[0] - cov)) <= 1e-8
 
 
 def _idf1_for(gt_frames, tracked):

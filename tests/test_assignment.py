@@ -86,6 +86,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="shape"):
             solve(np.zeros((2, 3)), np.ones((3, 2), dtype=bool))
 
+    @pytest.mark.parametrize("cost", [[], [1.0, 2.0], np.zeros((1, 2, 2))])
+    def test_cost_must_be_2d(self, cost):
+        # An empty problem is (0, C), (R, 0) or (0, 0), never 1-D.
+        with pytest.raises(ValueError, match="must be 2-D"):
+            solve(cost, np.zeros(np.shape(cost), dtype=bool))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             solve([[np.inf]], [[True]])

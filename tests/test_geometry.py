@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import grid_iou, iou_scalar
-from wintrack.geometry import BoundingBox, iou_distance_matrix, iou_matrix
+from wintrack.geometry import BoundingBox, box_array, iou_distance_matrix, iou_matrix
 
 from conftest import random_box
 
@@ -49,36 +49,40 @@ class TestIou:
 
     def test_identical_boxes(self):
         b = BoundingBox(0, 0, 10, 10)
-        assert iou_matrix([b], [b])[0, 0] == 1.0
+        assert iou_matrix(box_array([b]), box_array([b]))[0, 0] == 1.0
 
     def test_disjoint_boxes(self):
-        m = iou_matrix([BoundingBox(0, 0, 1, 1)], [BoundingBox(5, 5, 1, 1)])
+        m = iou_matrix(box_array([BoundingBox(0, 0, 1, 1)]),
+                       box_array([BoundingBox(5, 5, 1, 1)]))
         assert m[0, 0] == 0.0
 
     def test_touching_boxes_score_zero(self):
-        m = iou_matrix([BoundingBox(0, 0, 1, 1)], [BoundingBox(1, 0, 1, 1)])
+        m = iou_matrix(box_array([BoundingBox(0, 0, 1, 1)]),
+                       box_array([BoundingBox(1, 0, 1, 1)]))
         assert m[0, 0] == 0.0
 
     def test_quarter_overlap(self):
         # unit intersection, union 7: frozen from the grid-counting oracle
         a = BoundingBox(0, 0, 2, 2)
         b = BoundingBox(1, 1, 2, 2)
-        assert iou_matrix([a], [b])[0, 0] == pytest.approx(1 / 7, abs=1e-12)
+        assert iou_matrix(box_array([a]), box_array([b]))[0, 0] == pytest.approx(
+            1 / 7, abs=1e-12)
         assert grid_iou(a, b, n=2 ** 14) == pytest.approx(1 / 7, abs=1e-3)
 
     def test_symmetry_is_exact(self, rng):
         for _ in range(200):
             a = random_box(rng)
             b = random_box(rng)
-            assert iou_matrix([a], [b])[0, 0] == iou_matrix([b], [a])[0, 0]
+            assert (iou_matrix(box_array([a]), box_array([b]))[0, 0]
+                    == iou_matrix(box_array([b]), box_array([a]))[0, 0])
 
     def test_bounds_and_identity(self, rng):
         for _ in range(200):
             a = random_box(rng)
             b = random_box(rng)
-            v = iou_matrix([a], [b])[0, 0]
+            v = iou_matrix(box_array([a]), box_array([b]))[0, 0]
             assert 0.0 <= v <= 1.0
-            assert iou_matrix([a], [a])[0, 0] == 1.0
+            assert iou_matrix(box_array([a]), box_array([a]))[0, 0] == 1.0
 
     def test_translation_invariance(self, rng):
         for _ in range(100):
@@ -86,46 +90,49 @@ class TestIou:
             b = random_box(rng)
             dx = rng.uniform(-500, 500)
             dy = rng.uniform(-500, 500)
-            moved = iou_matrix([a.translated(dx, dy)], [b.translated(dx, dy)])
-            assert moved[0, 0] == pytest.approx(iou_matrix([a], [b])[0, 0], abs=1e-12)
+            moved = iou_matrix(box_array([a.translated(dx, dy)]),
+                               box_array([b.translated(dx, dy)]))
+            assert moved[0, 0] == pytest.approx(
+                iou_matrix(box_array([a]), box_array([b]))[0, 0], abs=1e-12)
 
     def test_matches_grid_oracle(self, rng):
         for _ in range(50):
             a = random_box(rng)
             b = random_box(rng)
-            assert iou_matrix([a], [b])[0, 0] == pytest.approx(
+            assert iou_matrix(box_array([a]), box_array([b]))[0, 0] == pytest.approx(
                 grid_iou(a, b, n=2 ** 15), abs=1e-3)
 
 
 class TestIouDistanceMatrix:
     def test_self_distance(self):
         b = BoundingBox(0, 0, 10, 10)
-        m = iou_distance_matrix([b], [b])
+        m = iou_distance_matrix(box_array([b]), box_array([b]))
         assert m.shape == (1, 1)
         assert m[0, 0] == 0.0
 
     def test_quarter_overlap_entry(self):
-        m = iou_distance_matrix([BoundingBox(0, 0, 2, 2)], [BoundingBox(1, 1, 2, 2)])
+        m = iou_distance_matrix(box_array([BoundingBox(0, 0, 2, 2)]),
+                                box_array([BoundingBox(1, 1, 2, 2)]))
         assert m[0, 0] == pytest.approx(6 / 7, abs=1e-12)
 
     def test_empty_inputs(self):
         b = BoundingBox(0, 0, 10, 10)
-        assert iou_distance_matrix([], [b]).shape == (0, 1)
-        assert iou_distance_matrix([b], []).shape == (1, 0)
-        assert iou_distance_matrix([], []).shape == (0, 0)
+        assert iou_distance_matrix(box_array([]), box_array([b])).shape == (0, 1)
+        assert iou_distance_matrix(box_array([b]), box_array([])).shape == (1, 0)
+        assert iou_distance_matrix(box_array([]), box_array([])).shape == (0, 0)
 
     def test_entries_match_scalar_iou(self, rng):
         rows = [random_box(rng) for _ in range(3)]
         cols = [random_box(rng) for _ in range(4)]
-        m = iou_distance_matrix(rows, cols)
+        m = iou_distance_matrix(box_array(rows), box_array(cols))
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
-                assert m[i, j] == 1.0 - iou_matrix([a], [b])[0, 0]
+                assert m[i, j] == 1.0 - iou_matrix(box_array([a]), box_array([b]))[0, 0]
 
     def test_entries_in_unit_interval(self, rng):
         rows = [random_box(rng) for _ in range(5)]
         cols = [random_box(rng) for _ in range(5)]
-        m = iou_distance_matrix(rows, cols)
+        m = iou_distance_matrix(box_array(rows), box_array(cols))
         assert np.all(m >= 0.0) and np.all(m <= 1.0)
 
 
@@ -143,9 +150,10 @@ class TestIouMatrixMatchesScalarOracle:
 
     @staticmethod
     def _check(rows, cols):
-        m = iou_matrix(rows, cols)
+        m = iou_matrix(box_array(rows), box_array(cols))
         assert np.array_equal(_bits(m), _bits(_scalar_matrix(rows, cols)))
-        assert np.array_equal(_bits(m), _bits(iou_matrix(cols, rows).T))
+        assert np.array_equal(_bits(m),
+                              _bits(iou_matrix(box_array(cols), box_array(rows)).T))
 
     def test_random_boxes(self, rng):
         for _ in range(20):
@@ -169,12 +177,12 @@ class TestIouMatrixMatchesScalarOracle:
             side = [BoundingBox(right, a.y, 3.0, a.h), BoundingBox(a.x, bottom, a.w, 2.0),
                     BoundingBox(a.x - 5.0, a.y, 5.0, a.h), BoundingBox(right, bottom, 1.0, 1.0)]
             self._check([a], side)
-            assert not iou_matrix([a], side).any()
+            assert not iou_matrix(box_array([a]), box_array(side)).any()
 
     def test_rows_duplicated_into_columns(self, rng):
         for _ in range(20):
             rows = [random_box(rng) for _ in range(8)]
             cols = rows[3:] + [random_box(rng) for _ in range(4)] + rows[:3]
             self._check(rows, cols)
-            m = iou_matrix(rows, rows)
+            m = iou_matrix(box_array(rows), box_array(rows))
             assert np.all(np.diag(m) == 1.0)

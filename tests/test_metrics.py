@@ -289,8 +289,8 @@ def assert_hota_equals_oracle(gt, pred):
 
 
 class TestHotaOracle:
-    """tp, fn, fp and ass_sum equal, bit for bit, the solver run at every
-    alpha of every frame with running pair counts."""
+    """tp, fn, fp and ass_sum equal, bit for bit, the solver run on every
+    frame, once per distinct admissible mask, with running pair counts."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_scenarios_solo_and_windowed(self, seed):

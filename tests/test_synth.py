@@ -121,7 +121,7 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="waypoint"):
             TargetSpec((waypoint,), 10.0, 10.0)
 
-    @pytest.mark.parametrize("frame_count", [math.nan, 2.5, 0, "10"])
+    @pytest.mark.parametrize("frame_count", [math.nan, 2.5, 0, "10", True])
     def test_frame_count_must_be_an_integer_at_least_one(self, frame_count):
         with pytest.raises(ScenarioError, match="frame_count"):
             plain_scenario(frame_count=frame_count)

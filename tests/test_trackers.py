@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from wintrack.geometry import BoundingBox
+from wintrack.geometry import BoundingBox, box_array
 from wintrack.kalman import MotionFilter
 from wintrack.motio import Detection, MotRecord
 from wintrack.synth import generate
@@ -43,11 +43,12 @@ class TestConfigValidation:
             TrackerConfig(min_hits=0)
 
     @pytest.mark.parametrize("field", ["max_age", "min_hits", "ocm_delta_t"])
-    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, True])
     def test_non_integer_counts_rejected(self, field, value):
         # nan passes a "< 1" check (nan < 1 is False): as max_age it retires
         # every track, as min_hits it confirms none, and as ocm_delta_t it
-        # fails later when the observation ring is sized.
+        # fails later when the observation ring is sized.  True is an
+        # Integral and would pass as 1.
         with pytest.raises(ValueError, match=field):
             TrackerConfig(kind="ocsort", **{field: value})
 
@@ -78,13 +79,13 @@ class TestConfigValidation:
 class TestAssociateIou:
     def test_exact_overlap_matches(self):
         b = BoundingBox(10, 10, 30, 60)
-        rows, cols = associate_iou([b], [b], gate=0.7)
+        rows, cols = associate_iou(box_array([b]), box_array([b]), gate=0.7)
         assert list(zip(rows.tolist(), cols.tolist())) == [(0, 0)]
 
     def test_distance_above_gate_leaves_both_unmatched(self):
         a = BoundingBox(0, 0, 10, 10)
         b = BoundingBox(9, 9, 10, 10)  # IoU 1/199, distance ~0.995
-        rows, cols = associate_iou([a], [b], gate=0.7)
+        rows, cols = associate_iou(box_array([a]), box_array([b]), gate=0.7)
         assert rows.tolist() == cols.tolist() == []
         assert np.delete(np.arange(1), rows).tolist() == [0]
         assert np.delete(np.arange(1), cols).tolist() == [0]
@@ -92,7 +93,7 @@ class TestAssociateIou:
     def test_no_tracks_or_no_detections_give_empty_index_arrays(self):
         b = BoundingBox(10, 10, 30, 60)
         for tracks, dets in (([], [b]), ([b], []), ([], [])):
-            rows, cols = associate_iou(tracks, dets, gate=0.7)
+            rows, cols = associate_iou(box_array(tracks), box_array(dets), gate=0.7)
             assert rows.dtype == cols.dtype == np.intp
             assert rows.shape == cols.shape == (0,)
 
@@ -103,8 +104,8 @@ class TestAssociateIou:
         from conftest import random_box
 
         for _ in range(30):
-            tracks = [random_box(rng) for _ in range(3)]
-            dets = [random_box(rng) for _ in range(3)]
+            tracks = box_array([random_box(rng) for _ in range(3)])
+            dets = box_array([random_box(rng) for _ in range(3)])
             dist = iou_distance_matrix(tracks, dets)
             fast = associate_iou(tracks, dets, gate=0.7)
             slow = solve_bruteforce(dist, dist <= 0.7)
@@ -312,12 +313,13 @@ class TestOcSort:
         assert [td.track_id for td in out] == [1]
 
         oracle = MotionFilter()
-        state = oracle.init_state(center_form(boxes[1].box))
+        mean, cov = oracle.init_state(center_form(boxes[1].box))
         for f in range(2, 10):
-            state = oracle.update(oracle.predict(state), center_form(boxes[f].box))
+            mean, cov = oracle.update(*oracle.predict(mean, cov),
+                                      center_form(boxes[f].box))
         assert [track.id for track in t.tracks] == [1]
-        assert np.allclose(t._table.mean[0], state.mean, atol=1e-8)
-        assert np.allclose(t._table.cov[0], state.covariance, atol=1e-8)
+        assert np.allclose(t._table.mean[0], mean, atol=1e-8)
+        assert np.allclose(t._table.cov[0], cov, atol=1e-8)
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_ocm_zero_and_oru_off_equal_sort(self, seed):

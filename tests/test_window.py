@@ -144,10 +144,10 @@ class TestWindowing:
         with pytest.raises(ValueError):
             WindowedTracker(make_tracker(cfg), make_tracker(cfg), 0)
 
-    @pytest.mark.parametrize("k", [2.5, math.nan])
+    @pytest.mark.parametrize("k", [2.5, math.nan, True])
     def test_k_must_be_an_integer(self, k):
         # Such a k never equals the buffered frame count, so no window
-        # would close before flush.
+        # would close before flush.  A bool is not a count, though True == 1.
         cfg = TrackerConfig(kind="sort")
         with pytest.raises(ValueError, match="window length k"):
             WindowedTracker(make_tracker(cfg), make_tracker(cfg), k)
