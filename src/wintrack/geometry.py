@@ -48,12 +48,15 @@ def box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
 def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """IoU of every row box against every column box, shape (len(rows), len(cols)).
 
-    Each side is an (N, 4) array of (x, y, w, h) rows.  Each entry lies in
-    [0, 1]: touching boxes (zero-area intersection) score 0 and equal boxes
-    exactly 1.  Swapping the arguments transposes the result exactly.
+    Each side is an (N, 4) array of (x, y, w, h) rows, else ValueError.  Each
+    entry lies in [0, 1]: touching boxes (zero-area intersection) score 0 and
+    equal boxes exactly 1.  Swapping the arguments transposes the result exactly.
     """
-    ax, ay, aw, ah = np.asarray(rows, dtype=float).reshape(-1, 4).T[:, :, None]
-    bx, by, bw, bh = np.asarray(cols, dtype=float).reshape(-1, 4).T[:, None, :]
+    rows, cols = np.asarray(rows, dtype=float), np.asarray(cols, dtype=float)
+    if rows.ndim != 2 or cols.ndim != 2 or rows.shape[1] != 4 or cols.shape[1] != 4:
+        raise ValueError(f"boxes must be (N, 4) arrays, got {rows.shape} and {cols.shape}")
+    ax, ay, aw, ah = rows.T[:, :, None]
+    bx, by, bw, bh = cols.T[:, None, :]
     iw = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
     ih = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
     inter = iw * ih

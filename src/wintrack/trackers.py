@@ -19,17 +19,17 @@ detections are associated to existing tracks:
 A tracker holds its live tracks as one table of arrays, one row per track
 in creation order: ids, the Kalman mean (T, 8) and covariance blocks
 (T, 3, 4) now and at the last update, a ring of the last ocm_delta_t + 1
-observed boxes, and the frames-since-update and hit-streak counters.  A
-step turns the frame's detections into one (N, 4) box array and one (N,)
-confidence array, predicts every row in one Kalman call, masks out rows
-whose predicted size is not positive, associates on arrays, updates all
-matched rows in one call, starts all new tracks in one call, emits the
-matched and new rows whose hit streak reaches min_hits, and retires rows
-by one order-keeping compaction.  Association takes the solver's
-matched rows and columns as index arrays, rows ascending; the unmatched
-tracks and detections are their complements, which keep ascending order,
-so tracks spawn in detection order.  Only OC-SORT's recovery replay steps
-the filter per track.  ``tracks`` gives a read-only snapshot of the table.
+observed boxes, and the frames-since-update and hit-streak counters.
+``step`` turns rows into an (N, 4) box and an (N,) confidence array and back;
+between, the array core ``_advance`` predicts every row in one Kalman call,
+masks out rows whose predicted size is not positive, associates on arrays,
+updates all matched rows (OC-SORT replays all re-found ones as one stack),
+starts all new tracks in one call, emits the matched and new rows whose
+hit streak reaches min_hits, and retires rows by one order-keeping
+compaction.  Association takes the solver's matched rows and columns as
+index arrays, rows ascending; the unmatched tracks and detections are
+their complements, which keep ascending order, so tracks spawn in
+detection order.  ``tracks`` gives a read-only snapshot of the table.
 """
 
 from __future__ import annotations
@@ -206,18 +206,26 @@ class _TrackerBase:
         Frames must be stepped in strictly increasing order and every
         detection must carry the stepped frame index.
         """
-        if frame <= self._last_frame:
-            raise ValueError(
-                f"out-of-order frame {frame}; already stepped {self._last_frame}"
-            )
         dets = list(detections)
-        for d in dets:
-            if d.frame != frame:
-                raise ValueError(
-                    f"detection frame {d.frame} does not match stepped frame {frame}"
-                )
+        if frame > self._last_frame:    # else _advance reports the frame, first
+            for d in dets:
+                if d.frame != frame:
+                    raise ValueError(f"detection frame {d.frame} does not match "
+                                     f"stepped frame {frame}")
+        cols, ids = self._advance(frame, box_array([d.box for d in dets]),
+                                  np.array([d.confidence for d in dets], dtype=float))
+        return [MotRecord(frame, i, dets[c].box, dets[c].confidence)
+                for c, i in zip(cols.tolist(), ids.tolist())]
+
+    def _advance(self, frame: int, boxes: np.ndarray,
+                 confidences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``step`` on arrays: the frame's (N, 4) boxes and (N,) confidences
+        in; the emitted detections' indices and their ids out, in emission
+        order."""
+        if frame <= self._last_frame:
+            raise ValueError(f"out-of-order frame {frame}; "
+                             f"already stepped {self._last_frame}")
         self._last_frame = frame
-        boxes = box_array([d.box for d in dets])
         z = _measurements(boxes)
 
         t = self._table
@@ -228,7 +236,6 @@ class _TrackerBase:
         size = t.mean[:, 2:4]
         pred_boxes = np.concatenate([t.mean[:, :2] - size / 2.0, size], axis=1)
         valid = (size[:, 0] > 0) & (size[:, 1] > 0)
-        confidences = np.array([d.confidence for d in dets], dtype=float)
         rows, cols, spawn = self._associate(pred_boxes, valid, boxes, confidences)
 
         if len(rows):
@@ -251,13 +258,10 @@ class _TrackerBase:
             t = t.extend(_TrackTable.new(new_ids, *self._filter.init_state(z[spawn]),
                                          boxes[spawn], self._history_len))
 
-        ids, streak, min_hits = t.ids.tolist(), t.streak.tolist(), self.config.min_hits
-        emitted = [MotRecord(frame, ids[r], dets[c].box, dets[c].confidence)
-                   for r, c in zip(rows.tolist(), cols.tolist()) if streak[r] >= min_hits]
-
+        emit = t.streak[rows] >= self.config.min_hits
         keep = t.since <= self.config.max_age
         self._table = t if keep.all() else t.take(keep)
-        return emitted
+        return cols[emit], t.ids[rows[emit]]
 
     def _updated(self, rows: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (mean, cov) of the table rows updated against their
@@ -347,31 +351,27 @@ class OcSortTracker(_TrackerBase):
 
     def _updated(self, rows, z):
         mean, cov = super()._updated(rows, z)
-        # A track re-found after a gap is replayed on its own instead.
-        for i in np.flatnonzero((self._table.since[rows] >= 1) & self.config.oru_enabled):
-            mean[i], cov[i] = self._replayed(int(rows[i]), z[i])
+        t, kf = self._table, self._filter
+        # Tracks re-found after a gap are replayed instead, as one stack with
+        # the longest gap first, so the tracks replaying at step j are a prefix:
+        # from the state at the last real observation, feed linearly interpolated
+        # virtual boxes, then the current observation.  A virtual box is formed
+        # as (x, y, w, h) and measured by its centre, so its floats match a detection's.
+        refound = np.flatnonzero((t.since[rows] >= 1) & self.config.oru_enabled)
+        if not len(refound):
+            return mean, cov
+        refound = refound[np.argsort(-t.since[rows[refound]])]
+        r = rows[refound]
+        gaps, z0, z1 = t.since[r], _measurements(t.obs[r, -1]), z[refound]
+        f = np.arange(1, gaps[0] + 1) / (gaps[:, None] + 1)
+        cs = z0[:, None] + (z1 - z0)[:, None] * f[..., None]
+        size = cs[..., 2:]
+        virtual = np.concatenate([(cs[..., :2] - size / 2.0) + size / 2.0, size], axis=2)
+        m, c = t.mean_upd[r], t.cov_upd[r]
+        for j, n in enumerate((gaps[:, None] > np.arange(gaps[0])).sum(axis=0).tolist()):
+            m[:n], c[:n] = kf.update(*kf.predict(m[:n], c[:n]), virtual[:n, j])
+        mean[refound], cov[refound] = kf.update(*kf.predict(m, c), z1)
         return mean, cov
-
-    def _replayed(self, row: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Replay the filter over the gap: from the state at the last real
-        # observation, feed linearly interpolated virtual boxes, then the
-        # current observation, exactly as if none had been missed.  Each
-        # virtual box is formed as (x, y, w, h) and measured by its centre,
-        # as a detection is, so its floats match a detection's.
-        t = self._table
-        gap = int(t.since[row])
-        x, y, w, h = t.obs[row, -1].tolist()
-        c0 = (x + w / 2.0, y + h / 2.0, w, h)
-        c1 = z.tolist()
-        kf = self._filter
-        mean, cov = t.mean_upd[row], t.cov_upd[row]
-        for j in range(1, gap + 1):
-            f = j / (gap + 1)
-            cx, cy, w, h = (a + (b - a) * f for a, b in zip(c0, c1))
-            x, y = cx - w / 2.0, cy - h / 2.0
-            virtual = np.array([x + w / 2.0, y + h / 2.0, w, h])
-            mean, cov = kf.update(*kf.predict(mean, cov), virtual)
-        return kf.update(*kf.predict(mean, cov), z)
 
 
 _TRACKER_CLASSES = {

@@ -2,19 +2,19 @@
 
 A primary tracker (level 1) consumes every detection frame by frame and
 its output is buffered for k frames, as a list of (frame, level-1 rows).
-At the end of each window one pass over those rows picks the
+At the end of each window those rows become arrays, one sort picks the
 highest-confidence box of each level-1 id, and these are fed, as a single
-pseudo-frame, to a second tracker (level 2) that therefore runs at 1/k of
-the frame rate over only the cleanest boxes.  Level-2 ids are then taken
-as reference: one IoU matrix holds the level-1 boxes of all buffered
-frames against the window's level-2 boxes; each frame's rows of it are
-matched by IoU-distance assignment, admitting only pairs that overlap, and
-each matched level-1 box is relabeled with its level-2 id.  Level-1 boxes
-that match no level-2 box get a deterministic fresh id.  The two namespaces
-are disjoint at any id count: level-2 ids up to UNMATCHED_ID_OFFSET and
-fresh ids UNMATCHED_ID_OFFSET plus a level-1 id below it are emitted as
-they are; above the offset, level-2 id n is emitted as 2n and level-1 id m
-as 2m + 1.
+pseudo-frame, to the array core of a second tracker (level 2) that runs
+at 1/k of the frame rate over only the cleanest boxes.  Level-2 ids are
+then taken as reference: one IoU matrix holds the level-1 boxes of all
+buffered frames against the window's level-2 boxes; each frame's rows of
+it are matched by IoU-distance assignment, admitting only pairs that
+overlap, and each matched level-1 box is relabeled with its level-2 id.
+Level-1 boxes that match no level-2 box keep a deterministic fresh id.
+The two namespaces are disjoint at any id count: level-2 ids up to
+UNMATCHED_ID_OFFSET and fresh ids UNMATCHED_ID_OFFSET plus a level-1 id
+below it are emitted as they are; above the offset, level-2 id n is
+emitted as 2n and level-1 id m as 2m + 1.
 
 Because level 2 steps once per window, a track it can hold for n of its own
 steps survives k*n source frames, which is what lets the corrected stream
@@ -29,6 +29,8 @@ from __future__ import annotations
 from numbers import Integral
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .assignment import solve
 from .geometry import box_array, iou_matrix
 from .motio import Detection, MotRecord
@@ -41,20 +43,16 @@ from .trackers import _TrackerBase
 UNMATCHED_ID_OFFSET = 1_000_000
 
 
-def select_best(rows: Sequence[MotRecord]) -> list[MotRecord]:
-    """One entry per level-1 id in a window's rows: its highest-confidence box.
+def best_rows(ids: np.ndarray, confidences: np.ndarray) -> np.ndarray:
+    """Index of each id's highest-confidence row, ordered by id.
 
-    rows come in frame order, so confidence ties resolve to the earliest
-    frame; the result is ordered by id so downstream processing is
-    deterministic.
+    One stable sort by id, then by falling confidence, so confidence ties
+    resolve to the earliest row: in a window, the earliest frame.
     """
-    best: dict[int, MotRecord] = {}
-    for td in rows:
-        kept = best.get(td.track_id)
-        # Strict improvement only: ties keep the earliest row.
-        if kept is None or td.confidence > kept.confidence:
-            best[td.track_id] = td
-    return [best[i] for i in sorted(best)]
+    order = np.lexsort((-confidences, ids))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ids[order[1:]] != ids[order[:-1]]
+    return order[first]
 
 
 class WindowedTracker:
@@ -94,34 +92,27 @@ class WindowedTracker:
         """Run level 2 on the window's best boxes and relabel level-1 output."""
         frames, self._frames = self._frames, []
         rows = [td for _, tracked in frames for td in tracked]
+        boxes = box_array([td.box for td in rows])
+        confidences = np.array([td.confidence for td in rows], dtype=float)
+        ids = np.array([td.track_id for td in rows], dtype=np.int64)
 
-        last_frame = frames[-1][0]
-        pseudo = [
-            Detection(last_frame, td.box, td.confidence) for td in select_best(rows)
-        ]
-        level2_out = self.level2.step(last_frame, pseudo)
+        best = best_rows(ids, confidences)
+        emitted, level2_ids = self.level2._advance(frames[-1][0], boxes[best],
+                                                   confidences[best])
 
         # One IoU call per window; each frame is matched on its own rows.
-        overlap = iou_matrix(box_array([td.box for td in rows]),
-                             box_array([td.box for td in level2_out]))
-        level2_ids = [n if n <= UNMATCHED_ID_OFFSET else 2 * n
-                      for n in (td.track_id for td in level2_out)]
-        corrected: list[MotRecord] = []
+        overlap = iou_matrix(boxes, boxes[best[emitted]])
+        level2_ids = np.where(level2_ids <= UNMATCHED_ID_OFFSET, level2_ids, 2 * level2_ids)
+        # Every row starts on its fresh id; each frame's matches overwrite it.
+        new_ids = np.where(ids < UNMATCHED_ID_OFFSET, UNMATCHED_ID_OFFSET + ids, 2 * ids + 1)
         start = 0
         for _, tracked in frames:
             block = overlap[start:start + len(tracked)]
-            start += len(tracked)
             matched, cols = solve(1.0 - block, block > 0.0)
-            id_map = {r: level2_ids[c] for r, c in zip(matched.tolist(), cols.tolist())}
-            for idx, td in enumerate(tracked):
-                new_id = id_map.get(idx)
-                if new_id is None:
-                    m = td.track_id
-                    new_id = (UNMATCHED_ID_OFFSET + m if m < UNMATCHED_ID_OFFSET
-                              else 2 * m + 1)
-                corrected.append(
-                    MotRecord(td.frame, new_id, td.box, td.confidence))
-        return corrected
+            new_ids[start + matched] = level2_ids[cols]
+            start += len(tracked)
+        return [MotRecord(td.frame, i, td.box, td.confidence)
+                for td, i in zip(rows, new_ids.tolist())]
 
 
 def run_windowed(

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ class TestIouDistanceMatrix:
         assert iou_distance_matrix(box_array([]), box_array([b])).shape == (0, 1)
         assert iou_distance_matrix(box_array([b]), box_array([])).shape == (1, 0)
         assert iou_distance_matrix(box_array([]), box_array([])).shape == (0, 0)
+
+    @pytest.mark.parametrize("shape", [(2, 6), (8,), (4,), (1, 2, 4)])
+    def test_rejects_arrays_that_are_not_n_by_4(self, shape):
+        # A (2, 6) array has a multiple of 4 entries, yet holds no boxes.
+        bad, good = np.ones(shape), np.ones((1, 4))
+        for f in (iou_matrix, iou_distance_matrix):
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                f(bad, good)
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                f(good, bad)
 
     def test_entries_match_scalar_iou(self, rng):
         rows = [random_box(rng) for _ in range(3)]

@@ -127,6 +127,12 @@ class TestStepContract:
         with pytest.raises(ValueError, match="does not match"):
             t.step(1, [det(2, 100, 100)])
 
+    def test_out_of_order_reported_before_a_mismatched_detection(self):
+        t = SortTracker(TrackerConfig())
+        t.step(3, [])
+        with pytest.raises(ValueError, match="out-of-order frame 2"):
+            t.step(2, [det(5, 100, 100)])
+
     def test_first_frame_two_targets_min_hits_one(self):
         t = SortTracker(TrackerConfig(min_hits=1))
         out = t.step(1, [det(1, 50, 50), det(1, 300, 50)])
@@ -320,6 +326,28 @@ class TestOcSort:
         assert [track.id for track in t.tracks] == [1]
         assert np.allclose(t._table.mean[0], mean, atol=1e-8)
         assert np.allclose(t._table.cov[0], cov, atol=1e-8)
+
+    def test_tracks_refound_in_one_step_replay_their_own_gaps(self):
+        # two linear paths, missed for 4 and 2 frames, re-detected in the
+        # same step; each rebuilt state must equal a filter fed its own path
+        paths = {90.0: (3.0, (4, 5, 6, 7)), 400.0: (2.0, (6, 7))}
+        boxes = {cy: {f: det(f, 50 + speed * (f - 1), cy) for f in range(1, 9)}
+                 for cy, (speed, _) in paths.items()}
+        t = OcSortTracker(TrackerConfig(kind="ocsort", min_hits=1))
+        for f in range(1, 9):
+            t.step(f, [boxes[cy][f] for cy, (_, missed) in paths.items()
+                       if f not in missed])
+        assert [track.id for track in t.tracks] == [1, 2]
+        assert [track.frames_since_update for track in t.tracks] == [0, 0]
+
+        oracle = MotionFilter()
+        for row, cy in enumerate(paths):
+            mean, cov = oracle.init_state(center_form(boxes[cy][1].box))
+            for f in range(2, 9):
+                mean, cov = oracle.update(*oracle.predict(mean, cov),
+                                          center_form(boxes[cy][f].box))
+            assert np.allclose(t._table.mean[row], mean, atol=1e-8)
+            assert np.allclose(t._table.cov[row], cov, atol=1e-8)
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_ocm_zero_and_oru_off_equal_sort(self, seed):

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from wintrack.geometry import BoundingBox
@@ -16,8 +17,8 @@ from wintrack.trackers import (
 from wintrack.window import (
     UNMATCHED_ID_OFFSET,
     WindowedTracker,
+    best_rows,
     run_windowed,
-    select_best,
 )
 
 from conftest import random_scenario
@@ -76,7 +77,14 @@ def sort_pair(k, **overrides):
     return WindowedTracker(make_tracker(cfg), make_tracker(cfg), k)
 
 
-class TestSelectBest:
+def select_best(rows):
+    """The rows best_rows picks from a window's rows."""
+    ids = np.array([td.track_id for td in rows])
+    confidences = np.array([td.confidence for td in rows])
+    return [rows[i] for i in best_rows(ids, confidences)]
+
+
+class TestBestRows:
     def test_argmax_confidence(self):
         best = select_best([tracked(1, 100, 100, 1, conf=0.5),
                             tracked(2, 100, 100, 1, conf=0.9),
