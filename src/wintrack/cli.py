@@ -4,7 +4,7 @@ Subcommands:
   track   run a tracker (solo, or two-level windowed with --l2/-k) over a
           MOT detection file and write a MOT result file
   eval    score a result file against ground truth (MOTA/MOTP/IDF1/HOTA)
-  sweep   run the baseline plus a set of window lengths and tabulate scores
+  sweep   score one level-1 run alone and corrected at a set of window lengths
   synth   generate ground-truth and detection files from a scenario config
 
 Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data validation.
@@ -16,6 +16,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 from .metrics import (
@@ -35,12 +36,13 @@ from .motio import (
     write_results,
 )
 from .synth import ScenarioError, bundled_scenario, generate, load_scenario
-from .trackers import TRACKER_KINDS, TrackerConfig, make_tracker, run_tracker
-from .window import WindowedTracker, run_windowed
+from .trackers import TRACKER_KINDS, TrackerConfig, make_tracker, run_tracker, track_frames
+from .window import WindowedTracker, correct, run_windowed
 
 DEFAULT_K = 3
 DEFAULT_SWEEP_KS = (2, 3, 5, 10)
 LEVEL2_KINDS = ("bytetrack", "ocsort")
+_FRAME_AND_ID = attrgetter("frame", "track_id")  # the order result files keep
 
 
 class ConfigError(ValueError):
@@ -114,37 +116,24 @@ def _load_config_file(path) -> dict[str, dict]:
     return out
 
 
-def _tracker_config(kind: str | None, overrides: dict) -> TrackerConfig:
-    merged = dict(overrides)
-    if kind is not None:
-        merged["kind"] = kind  # the command-line flag wins over the file
+def _tracker_config(kind: str, overrides: dict) -> TrackerConfig:
     try:
-        return TrackerConfig(**merged)
+        return TrackerConfig(**{**overrides, "kind": kind})  # the flag wins over the file
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _run_configuration(detections, cfg_l1, cfg_l2, k):
-    """Run one tracking configuration and return (frame, id)-sorted output."""
-    level1 = make_tracker(cfg_l1)
-    if cfg_l2 is None:
-        tracked = run_tracker(level1, detections)
-    else:
-        windowed = WindowedTracker(level1, make_tracker(cfg_l2), k)
-        tracked = run_windowed(windowed, detections)
-    tracked.sort(key=lambda td: (td.frame, td.track_id))
-    return tracked
 
 
 def cmd_track(args) -> int:
     detections = read_detections(args.det)
     file_cfg = _load_config_file(args.config) if args.config else {}
-    cfg_l1 = _tracker_config(args.l1, file_cfg.get("l1", {}))
-    cfg_l2 = None
-    k = args.k if args.k is not None else DEFAULT_K
-    if args.l2 is not None:
-        cfg_l2 = _tracker_config(args.l2, file_cfg.get("l2", {}))
-    write_results(args.out, _run_configuration(detections, cfg_l1, cfg_l2, k))
+    level1 = make_tracker(_tracker_config(args.l1, file_cfg.get("l1", {})))
+    if args.l2 is None:
+        tracked = run_tracker(level1, detections)
+    else:
+        level2 = make_tracker(_tracker_config(args.l2, file_cfg.get("l2", {})))
+        tracked = run_windowed(WindowedTracker(level1, level2, args.k or DEFAULT_K),
+                               detections)
+    write_results(args.out, sorted(tracked, key=_FRAME_AND_ID))
     return 0
 
 
@@ -162,14 +151,15 @@ _SWEEP_HEADER = ("l2", "k", "idf1", "hota", "mota", "motp")
 
 
 def _sweep_rows(detections, gt_frames, cfg_l1, cfg_l2, k_values):
-    rows = []
-    baseline = _run_configuration(detections, cfg_l1, None, 1)
-    rows.append(("-", "-", evaluate(gt_frames, frames_from_records(baseline))))
+    """The baseline's report, then each k's, all from one level-1 run."""
+    level1 = make_tracker(cfg_l1)
+    frames = list(track_frames(level1, detections))
+    runs = [("-", "-", [td for _, tracked in frames for td in tracked])]
     for k in k_values:
-        tracked = _run_configuration(detections, cfg_l1, cfg_l2, k)
-        rows.append((cfg_l2.kind, str(k),
-                     evaluate(gt_frames, frames_from_records(tracked))))
-    return rows
+        corrected = correct(WindowedTracker(level1, make_tracker(cfg_l2), k), frames)
+        runs.append((cfg_l2.kind, str(k), corrected))
+    return [(l2, k, evaluate(gt_frames, frames_from_records(sorted(tracked, key=_FRAME_AND_ID))))
+            for l2, k, tracked in runs]
 
 
 def _format_sweep(rows, fmt: str) -> str:

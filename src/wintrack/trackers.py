@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
-from typing import Sequence
+from numbers import Integral, Real
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class TrackerConfig:
     def __post_init__(self):
         if self.kind not in TRACKER_KINDS:
             raise ValueError(f"unknown tracker kind {self.kind!r}")
+        for name in ("iou_gate", "high_conf_threshold", "low_conf_threshold", "ocm_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= self.iou_gate <= 1.0:
             raise ValueError("iou_gate must be in [0, 1]")
         for name in ("max_age", "min_hits", "ocm_delta_t"):
@@ -385,12 +389,17 @@ def make_tracker(config: TrackerConfig) -> _TrackerBase:
     return _TRACKER_CLASSES[config.kind](config)
 
 
+def track_frames(
+    tracker: _TrackerBase, detections_by_frame: dict[int, list[Detection]]
+) -> Iterator[tuple[int, list[MotRecord]]]:
+    """Step a tracker over frames 1 to the last detection frame, including
+    empty frames; yields each frame with the rows it emits."""
+    for f in range(1, max(detections_by_frame, default=0) + 1):
+        yield f, tracker.step(f, detections_by_frame.get(f, []))
+
+
 def run_tracker(
     tracker: _TrackerBase, detections_by_frame: dict[int, list[Detection]]
 ) -> list[MotRecord]:
-    """Step a tracker over frames 1 to the last detection frame, including
-    empty frames."""
-    out: list[MotRecord] = []
-    for f in range(1, max(detections_by_frame, default=0) + 1):
-        out.extend(tracker.step(f, detections_by_frame.get(f, [])))
-    return out
+    """All rows ``track_frames`` emits, in frame order."""
+    return [td for _, rows in track_frames(tracker, detections_by_frame) for td in rows]

@@ -1,7 +1,8 @@
 """Windowed two-level ID correction.
 
 A primary tracker (level 1) consumes every detection frame by frame and
-its output is buffered for k frames, as a list of (frame, level-1 rows).
+its output is buffered for k frames, as a list of (frame, level-1 rows)
+(``push_rows`` takes such rows, so one level-1 run serves several k).
 At the end of each window those rows become arrays, one sort picks the
 highest-confidence box of each level-1 id, and these are fed, as a single
 pseudo-frame, to the array core of a second tracker (level 2) that runs
@@ -27,14 +28,14 @@ untouched.
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .assignment import solve
 from .geometry import box_array, iou_matrix
 from .motio import Detection, MotRecord
-from .trackers import _TrackerBase
+from .trackers import _TrackerBase, track_frames
 
 # A level-1 id m with no level-2 match is emitted as this offset plus m, which
 # stays readable, while m is below the offset, and as 2m + 1 from the offset
@@ -65,22 +66,29 @@ class WindowedTracker:
         self.level2 = level2
         self.k = k
         # The open window: (frame, level-1 output) per pushed frame.
-        self._frames: list[tuple[int, list[MotRecord]]] = []
+        self._frames: list[tuple[int, Sequence[MotRecord]]] = []
+        self._last_frame = 0
 
     def push_frame(
         self, frame: int, detections: Sequence[Detection]
     ) -> Optional[list[MotRecord]]:
-        """Step level 1 and buffer its output.
+        """Step level 1 and push its rows; level 1 rejects an out-of-order
+        frame before anything is buffered."""
+        return self.push_rows(frame, self.level1.step(frame, detections))
+
+    def push_rows(self, frame: int, rows: Sequence[MotRecord]) -> Optional[list[MotRecord]]:
+        """Buffer one frame of level-1 rows.
 
         Returns None while the window is filling; on the k-th frame,
         finalizes the window and returns the corrected detections for all
-        buffered frames.  Frames with no detections still count toward k.
-        Level 1 rejects an out-of-order frame before anything is buffered.
+        buffered frames.  Frames with no rows still count toward k.  A frame
+        not after the last pushed one is rejected before it is buffered.
         """
-        self._frames.append((frame, self.level1.step(frame, detections)))
-        if len(self._frames) == self.k:
-            return self.finalize_window()
-        return None
+        if frame <= self._last_frame:
+            raise ValueError(f"out-of-order frame {frame}; already pushed {self._last_frame}")
+        self._last_frame = frame
+        self._frames.append((frame, rows))
+        return self.finalize_window() if len(self._frames) == self.k else None
 
     def flush(self) -> list[MotRecord]:
         """Finalize a trailing partial window; empty buffer yields nothing."""
@@ -115,15 +123,17 @@ class WindowedTracker:
                 for td, i in zip(rows, new_ids.tolist())]
 
 
+def correct(
+    tracker: WindowedTracker, frames: Iterable[tuple[int, Sequence[MotRecord]]]
+) -> list[MotRecord]:
+    """Push each (frame, level-1 rows) pair and flush the tail."""
+    out = [td for frame, rows in frames for td in tracker.push_rows(frame, rows) or ()]
+    return out + tracker.flush()
+
+
 def run_windowed(
     tracker: WindowedTracker, detections_by_frame: dict[int, list[Detection]]
 ) -> list[MotRecord]:
-    """Push frames 1 to the last detection frame (empty frames included) and
-    flush the tail."""
-    out: list[MotRecord] = []
-    for f in range(1, max(detections_by_frame, default=0) + 1):
-        emitted = tracker.push_frame(f, detections_by_frame.get(f, []))
-        if emitted:
-            out.extend(emitted)
-    out.extend(tracker.flush())
-    return out
+    """``correct`` over level 1's ``track_frames``: frames 1 to the last
+    detection frame, empty frames included."""
+    return correct(tracker, track_frames(tracker.level1, detections_by_frame))

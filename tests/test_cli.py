@@ -1,8 +1,11 @@
 import pytest
 
-from wintrack.cli import main
+from wintrack.cli import _sweep_rows, main
+from wintrack.metrics import evaluate, frames_from_records
 from wintrack.motio import read_results, write_detections, write_ground_truth
 from wintrack.synth import bundled_scenario, generate
+from wintrack.trackers import TrackerConfig, _TrackerBase, make_tracker, run_tracker
+from wintrack.window import WindowedTracker, run_windowed
 
 
 @pytest.fixture
@@ -233,6 +236,52 @@ class TestSweep:
         main(["eval", "--gt", str(gt_path), "--res", str(res), "--format", "csv"])
         eval_row = capsys.readouterr().out.strip().split("\n")[1]
         assert baseline_row.split(",")[2:] == eval_row.split(",")[:4]
+
+
+    def test_level1_steps_once_per_frame(self, scene_files, monkeypatch):
+        # The baseline and all four window lengths share one level-1 run;
+        # level 2 steps on arrays, not through step.
+        gt_path, det_path = scene_files
+        frames = []
+        step = _TrackerBase.step
+
+        def counted(self, frame, detections):
+            frames.append(frame)
+            return step(self, frame, detections)
+
+        monkeypatch.setattr(_TrackerBase, "step", counted)
+        assert main(["sweep", "--det", str(det_path), "--gt", str(gt_path),
+                     "--l1", "sort", "--l2", "bytetrack"]) == 0
+        assert frames == list(range(1, 121))
+
+
+def report_fingerprint(report):
+    """Every score as float hex, the count reprs and the HOTA arrays."""
+    acc = report.hota_acc
+    return ([float(getattr(report, f)).hex()
+             for f in ("mota", "motp", "idf1", "hota", "det_a", "ass_a")]
+            + [repr(report.clear), repr(report.identity)]
+            + [a.tobytes() for a in (acc.tp, acc.fn, acc.fp, acc.ass_sum)])
+
+
+@pytest.mark.parametrize("name, l1, l2", [("idswitch", "sort", "bytetrack"),
+                                          ("weave", "ocsort", "ocsort")])
+def test_every_sweep_row_equals_a_lone_run(name, l1, l2):
+    # Each row scores what `track` (sorted by frame and id) would emit for
+    # its configuration run on its own.
+    gt, dets = generate(bundled_scenario(name))
+    gt_frames = frames_from_records(gt.evaluable())
+    cfg_l1, cfg_l2 = TrackerConfig(kind=l1), TrackerConfig(kind=l2)
+    k_values = [1, 2, 3, 5, 10]
+    rows = _sweep_rows(dets, gt_frames, cfg_l1, cfg_l2, k_values)
+    lone = [run_tracker(make_tracker(cfg_l1), dets)]
+    lone += [run_windowed(WindowedTracker(make_tracker(cfg_l1), make_tracker(cfg_l2), k),
+                          dets) for k in k_values]
+    assert [row[:2] for row in rows] == [("-", "-")] + [(l2, str(k)) for k in k_values]
+    for (_, _, report), out in zip(rows, lone):
+        out.sort(key=lambda td: (td.frame, td.track_id))
+        want = evaluate(gt_frames, frames_from_records(out))
+        assert report_fingerprint(report) == report_fingerprint(want)
 
 
 class TestSynthCommand:

@@ -33,8 +33,14 @@ from wintrack.metrics import (
     report_table,
 )
 from wintrack.synth import BUNDLED_SUITE, bundled_scenario, generate
-from wintrack.trackers import TRACKER_KINDS, TrackerConfig, make_tracker, run_tracker
-from wintrack.window import WindowedTracker, run_windowed
+from wintrack.trackers import (
+    TRACKER_KINDS,
+    TrackerConfig,
+    make_tracker,
+    run_tracker,
+    track_frames,
+)
+from wintrack.window import WindowedTracker, correct, run_windowed
 
 
 def box(cx, cy, w=10.0, h=10.0):
@@ -281,6 +287,12 @@ class TestHotaSolverCalls:
         assert calls == list(HOTA_ALPHAS[:8])
 
 
+def level1_run(kind, dets):
+    """A level-1 tracker of the kind and the (frame, rows) pairs it emits."""
+    level1 = make_tracker(TrackerConfig(kind=kind))
+    return level1, list(track_frames(level1, dets))
+
+
 def assert_hota_equals_oracle(gt, pred):
     _, acc = hota(gt, pred)
     expected = hota_per_alpha(pair_per_frame(gt, pred))
@@ -297,10 +309,10 @@ class TestHotaOracle:
         gt, dets = generate(random_scenario(seed))
         gt_frames = frames_from_records(gt.evaluable())
         for kind in TRACKER_KINDS:
-            solo = run_tracker(make_tracker(TrackerConfig(kind=kind)), dets)
-            windowed = run_windowed(WindowedTracker(
-                make_tracker(TrackerConfig(kind=kind)),
-                make_tracker(TrackerConfig(kind="bytetrack")), 3), dets)
+            level1, frames = level1_run(kind, dets)
+            solo = [td for _, rows in frames for td in rows]
+            windowed = correct(WindowedTracker(
+                level1, make_tracker(TrackerConfig(kind="bytetrack")), 3), frames)
             for out in (solo, windowed):
                 assert_hota_equals_oracle(gt_frames, frames_from_records(out))
 
@@ -387,10 +399,12 @@ class TestPerFrameOracles:
     def test_scenes_solo_and_windowed(self, name):
         gt, dets = generate(differential_scenario(name))
         gt_frames = frames_from_records(gt.evaluable())
-        outs = [run_tracker(make_tracker(TrackerConfig(kind=kind)), dets)
-                for kind in TRACKER_KINDS]
-        outs += [run_windowed(WindowedTracker(make_tracker(TrackerConfig(kind=l1)),
-                                              make_tracker(TrackerConfig(kind=l2)), k), dets)
+        # One level-1 run per kind: its rows, then their correction at each
+        # (k, l2), equal row for row to run_tracker and run_windowed.
+        runs = {kind: level1_run(kind, dets) for kind in TRACKER_KINDS}
+        outs = [[td for _, rows in frames for td in rows] for _, frames in runs.values()]
+        outs += [correct(WindowedTracker(runs[l1][0], make_tracker(TrackerConfig(kind=l2)), k),
+                         runs[l1][1])
                  for k in (2, 3, 5) for l1 in TRACKER_KINDS for l2 in TRACKER_KINDS]
         for out in outs:
             assert_equals_per_frame_oracles(gt_frames, frames_from_records(out))

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ class TestConfigValidation:
         # False); inf would make inf * 0 on the first association.
         with pytest.raises(ValueError, match="ocm_weight"):
             TrackerConfig(kind="ocsort", ocm_weight=weight)
+
+    @pytest.mark.parametrize("field", ["iou_gate", "high_conf_threshold",
+                                       "low_conf_threshold", "ocm_weight"])
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j])
+    def test_non_real_thresholds_rejected(self, field, value):
+        # True ran as 1.0 and False as 0.0; a string met the range check
+        # with a TypeError.
+        with pytest.raises(ValueError, match=field):
+            TrackerConfig(kind="ocsort", **{field: value})
+
+    def test_real_thresholds_accepted(self):
+        cfg = TrackerConfig(iou_gate=np.float32(0.5), high_conf_threshold=1,
+                            low_conf_threshold=Fraction(1, 10), ocm_weight=0)
+        assert (cfg.iou_gate, cfg.high_conf_threshold) == (0.5, 1)
+        assert (cfg.low_conf_threshold, cfg.ocm_weight) == (Fraction(1, 10), 0)
 
     @pytest.mark.parametrize("kind", ["sort", "ocsort"])
     @pytest.mark.parametrize("value", ["false", 0.5, None, 1])

@@ -7,17 +7,19 @@ import pytest
 from wintrack.geometry import BoundingBox
 from wintrack.metrics import frames_from_records, match_clear
 from wintrack.motio import Detection, MotRecord
-from wintrack.synth import bundled_scenario, generate
+from wintrack.synth import BUNDLED_SUITE, bundled_scenario, generate
 from wintrack.trackers import (
     TRACKER_KINDS,
     TrackerConfig,
     make_tracker,
     run_tracker,
+    track_frames,
 )
 from wintrack.window import (
     UNMATCHED_ID_OFFSET,
     WindowedTracker,
     best_rows,
+    correct,
     run_windowed,
 )
 
@@ -171,6 +173,76 @@ class TestWindowing:
         for td in wt.flush():
             seen[td.frame] = 7
         assert seen == {1: 3, 2: 3, 3: 3, 4: 6, 5: 6, 6: 6, 7: 7}
+
+
+class TestPushRows:
+    @pytest.mark.parametrize("frame", [2, 1])
+    def test_frame_not_after_the_last_rejected_within_a_window(self, frame):
+        wt = sort_pair(3)
+        assert wt.push_rows(1, [tracked(1, 100, 100, 1)]) is None
+        assert wt.push_rows(2, [tracked(2, 100, 100, 1)]) is None
+        with pytest.raises(ValueError, match="out-of-order frame"):
+            wt.push_rows(frame, [tracked(frame, 100, 100, 1)])
+        # The rejected rows are not buffered; the window stays open.
+        out = wt.push_rows(3, [tracked(3, 100, 100, 1)])
+        assert [td.frame for td in out] == [1, 2, 3]
+
+    @pytest.mark.parametrize("frame", [2, 1])
+    def test_frame_not_after_the_last_rejected_across_windows(self, frame):
+        wt = sort_pair(2)
+        assert wt.push_rows(1, [tracked(1, 100, 100, 1)]) is None
+        assert wt.push_rows(2, [tracked(2, 100, 100, 1)]) is not None
+        with pytest.raises(ValueError, match="out-of-order frame"):
+            wt.push_rows(frame, [])
+        assert wt.flush() == []
+
+    def test_push_frame_reports_level1_order_error_first(self):
+        wt = sort_pair(2)
+        wt.push_frame(3, [])
+        with pytest.raises(ValueError, match="already stepped 3"):
+            wt.push_frame(3, [])
+
+
+@functools.cache
+def bundled_detections(name):
+    return generate(bundled_scenario(name))[1]
+
+
+@functools.cache
+def level1_frames(name, l1):
+    """One level-1 run over a bundled scene, as (frame, rows) pairs."""
+    return list(track_frames(make_tracker(TrackerConfig(kind=l1)),
+                             bundled_detections(name)))
+
+
+def row_hexes(rows):
+    return [(td.frame, td.track_id,
+             *(float(v).hex() for v in (td.box.x, td.box.y, td.box.w, td.box.h)),
+             float(td.confidence).hex()) for td in rows]
+
+
+class TestCorrect:
+    @pytest.mark.parametrize("name", BUNDLED_SUITE)
+    @pytest.mark.parametrize("l1", TRACKER_KINDS)
+    @pytest.mark.parametrize("l2", TRACKER_KINDS)
+    def test_recorded_level1_frames_equal_run_windowed(self, name, l1, l2):
+        # One level-1 run is corrected at every k; each equals the run that
+        # steps its own level 1, row for row.
+        dets = bundled_detections(name)
+        frames = level1_frames(name, l1)
+        for k in (1, 2, 3, 5):
+            def windowed():
+                return WindowedTracker(make_tracker(TrackerConfig(kind=l1)),
+                                       make_tracker(TrackerConfig(kind=l2)), k)
+            want = run_windowed(windowed(), dets)
+            assert want
+            assert row_hexes(correct(windowed(), frames)) == row_hexes(want)
+
+    def test_frames_through_their_last_detection_frame(self):
+        frames = {2: [det(2, 100, 100)], 4: [det(4, 100, 100)]}
+        stepped = track_frames(make_tracker(TrackerConfig(kind="sort", min_hits=1)),
+                               frames)
+        assert [(f, len(rows)) for f, rows in stepped] == [(1, 0), (2, 1), (3, 0), (4, 1)]
 
 
 class TestFlush:
