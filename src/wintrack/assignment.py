@@ -28,7 +28,7 @@ def _as_cost_matrix(cost) -> np.ndarray:
     m = np.asarray(cost, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("cost matrix entries must be finite")
     return m
 

@@ -140,6 +140,13 @@ class _TrackTable:
 _NO_INDEX = np.zeros(0, dtype=np.intp)
 
 
+def _unmatched(n: int, taken: np.ndarray) -> np.ndarray:
+    """The indices in range(n) not in taken, ascending."""
+    free = np.ones(n, dtype=bool)
+    free[taken] = False
+    return free.nonzero()[0]
+
+
 def _centers(boxes: np.ndarray) -> np.ndarray:
     """(cx, cy) of (..., 4) arrays of (x, y, w, h)."""
     return boxes[..., :2] + boxes[..., 2:] / 2.0
@@ -211,11 +218,9 @@ class _TrackerBase:
         detection must carry the stepped frame index.
         """
         dets = list(detections)
-        if frame > self._last_frame:    # else _advance reports the frame, first
-            for d in dets:
-                if d.frame != frame:
-                    raise ValueError(f"detection frame {d.frame} does not match "
-                                     f"stepped frame {frame}")
+        bad = [d.frame for d in dets if d.frame != frame]
+        if bad and frame > self._last_frame:    # else _advance reports the frame, first
+            raise ValueError(f"detection frame {bad[0]} does not match stepped frame {frame}")
         cols, ids = self._advance(frame, box_array([d.box for d in dets]),
                                   np.array([d.confidence for d in dets], dtype=float))
         return [MotRecord(frame, i, dets[c].box, dets[c].confidence)
@@ -287,9 +292,9 @@ class SortTracker(_TrackerBase):
     """Gated IoU association of predicted track boxes to all detections."""
 
     def _associate(self, pred_boxes, valid, boxes, confidences):
-        tracks = np.flatnonzero(valid)
+        tracks = valid.nonzero()[0]
         rows, cols = associate_iou(pred_boxes[tracks], boxes, self.config.iou_gate)
-        return tracks[rows], cols, np.delete(np.arange(len(boxes)), cols)
+        return tracks[rows], cols, _unmatched(len(boxes), cols)
 
 
 class ByteTracker(_TrackerBase):
@@ -303,16 +308,18 @@ class ByteTracker(_TrackerBase):
 
     def _associate(self, pred_boxes, valid, boxes, confidences):
         cfg = self.config
-        high = np.flatnonzero(confidences >= cfg.high_conf_threshold)
-        mid = np.flatnonzero((cfg.low_conf_threshold <= confidences)
-                             & (confidences < cfg.high_conf_threshold))
-        tracks = np.flatnonzero(valid)
-
+        high = (confidences >= cfg.high_conf_threshold).nonzero()[0]
+        tracks = valid.nonzero()[0]
         rows, cols = associate_iou(pred_boxes[tracks], boxes[high], cfg.iou_gate)
-        leftovers = np.delete(tracks, rows)
+        spawn = high[_unmatched(len(high), cols)]
+        mid = ((cfg.low_conf_threshold <= confidences)
+               & (confidences < cfg.high_conf_threshold)).nonzero()[0]
+        if not len(mid) or len(rows) == len(tracks):    # stage 2 has nothing to match
+            return tracks[rows], high[cols], spawn
+        leftovers = tracks[_unmatched(len(tracks), rows)]
         rows2, cols2 = associate_iou(pred_boxes[leftovers], boxes[mid], cfg.iou_gate)
         return (np.concatenate([tracks[rows], leftovers[rows2]]),
-                np.concatenate([high[cols], mid[cols2]]), np.delete(high, cols))
+                np.concatenate([high[cols], mid[cols2]]), spawn)
 
 
 class OcSortTracker(_TrackerBase):
@@ -336,7 +343,7 @@ class OcSortTracker(_TrackerBase):
         cfg = self.config
         t = self._table
         lost = (t.since >= 1) & cfg.oru_enabled
-        tracks = np.flatnonzero(lost | valid)
+        tracks = (lost | valid).nonzero()[0]
         if not len(tracks) or not len(boxes):
             return _NO_INDEX, _NO_INDEX, np.arange(len(boxes))
         last = t.obs[tracks, -1]
@@ -351,7 +358,7 @@ class OcSortTracker(_TrackerBase):
         # Gate on the IoU distance alone; the direction term only ranks
         # candidates that already overlap enough.
         rows, cols = solve(cost, dist <= cfg.iou_gate)
-        return tracks[rows], cols, np.delete(np.arange(len(boxes)), cols)
+        return tracks[rows], cols, _unmatched(len(boxes), cols)
 
     def _updated(self, rows, z):
         mean, cov = super()._updated(rows, z)
@@ -361,7 +368,7 @@ class OcSortTracker(_TrackerBase):
         # from the state at the last real observation, feed linearly interpolated
         # virtual boxes, then the current observation.  A virtual box is formed
         # as (x, y, w, h) and measured by its centre, so its floats match a detection's.
-        refound = np.flatnonzero((t.since[rows] >= 1) & self.config.oru_enabled)
+        refound = ((t.since[rows] >= 1) & self.config.oru_enabled).nonzero()[0]
         if not len(refound):
             return mean, cov
         refound = refound[np.argsort(-t.since[rows[refound]])]

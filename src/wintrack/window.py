@@ -15,7 +15,10 @@ Level-1 boxes that match no level-2 box keep a deterministic fresh id.
 The two namespaces are disjoint at any id count: level-2 ids up to
 UNMATCHED_ID_OFFSET and fresh ids UNMATCHED_ID_OFFSET plus a level-1 id
 below it are emitted as they are; above the offset, level-2 id n is
-emitted as 2n and level-1 id m as 2m + 1.
+emitted as 2n and level-1 id m as 2m + 1, so level-1 ids must be below
+LEVEL1_ID_LIMIT = 2**62.  A window whose rows break that, repeat an id in a
+frame or carry another frame than the pushed one raises ValueError when it
+is finalized, and its rows are dropped.
 
 Because level 2 steps once per window, a track it can hold for n of its own
 steps survives k*n source frames, which is what lets the corrected stream
@@ -27,6 +30,8 @@ untouched.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import accumulate
 from numbers import Integral
 from typing import Iterable, Optional, Sequence
 
@@ -42,6 +47,7 @@ from .trackers import _TrackerBase, track_frames
 # on; level-2 ids above the offset are emitted doubled.  Fresh and level-2 ids
 # then never meet, however many ids either level issues.
 UNMATCHED_ID_OFFSET = 1_000_000
+LEVEL1_ID_LIMIT = 2**62
 
 
 def best_rows(ids: np.ndarray, confidences: np.ndarray) -> np.ndarray:
@@ -102,7 +108,18 @@ class WindowedTracker:
         rows = [td for _, tracked in frames for td in tracked]
         boxes = box_array([td.box for td in rows])
         confidences = np.array([td.confidence for td in rows], dtype=float)
-        ids = np.array([td.track_id for td in rows], dtype=np.int64)
+        # Checked by whole-list passes: on tens of rows they cost less than numpy calls.
+        pushed = [f for f, tracked in frames for _ in tracked]
+        row_frames, level1_ids = [td.frame for td in rows], [td.track_id for td in rows]
+        if row_frames != pushed:
+            stray, f = next(p for p in zip(row_frames, pushed) if p[0] != p[1])
+            raise ValueError(f"row frame {stray} does not match pushed frame {f}")
+        if max(level1_ids, default=0) >= LEVEL1_ID_LIMIT:
+            raise ValueError(f"level-1 id {max(level1_ids)} is not below {LEVEL1_ID_LIMIT}")
+        if len(set(zip(pushed, level1_ids))) < len(rows):
+            f, i = next(p for p, n in Counter(zip(pushed, level1_ids)).items() if n > 1)
+            raise ValueError(f"level-1 rows: frame {f} repeats id {i}")
+        ids = np.array(level1_ids, dtype=np.int64)
 
         best = best_rows(ids, confidences)
         emitted, level2_ids = self.level2._advance(frames[-1][0], boxes[best],
@@ -113,12 +130,12 @@ class WindowedTracker:
         level2_ids = np.where(level2_ids <= UNMATCHED_ID_OFFSET, level2_ids, 2 * level2_ids)
         # Every row starts on its fresh id; each frame's matches overwrite it.
         new_ids = np.where(ids < UNMATCHED_ID_OFFSET, UNMATCHED_ID_OFFSET + ids, 2 * ids + 1)
-        start = 0
-        for _, tracked in frames:
-            block = overlap[start:start + len(tracked)]
-            matched, cols = solve(1.0 - block, block > 0.0)
-            new_ids[start + matched] = level2_ids[cols]
-            start += len(tracked)
+        cost, admissible = 1.0 - overlap, overlap > 0.0
+        bounds = [0, *accumulate(len(tracked) for _, tracked in frames)]
+        for start, end in zip(bounds, bounds[1:]):
+            if start < end:    # a frame with no rows has nothing to match
+                matched, cols = solve(cost[start:end], admissible[start:end])
+                new_ids[start + matched] = level2_ids[cols]
         return [MotRecord(td.frame, i, td.box, td.confidence)
                 for td, i in zip(rows, new_ids.tolist())]
 

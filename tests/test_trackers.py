@@ -296,6 +296,48 @@ class TestByteTrack:
         assert byte_out == sort_out
 
 
+class TestSpawnOrder:
+    """New tracks take ids in detection order, whichever detections matched.
+
+    Each frame lists the boxes of the live tracks again, unmoved, shuffled
+    among boxes at fresh grid places, so matched and unmatched detections
+    interleave.  For ByteTrack the boxes carry high, mid and low
+    confidences; a track's own box may come back at mid confidence, which
+    stage 2 matches.
+    """
+
+    CONFIDENCES = (0.9, 0.8, 0.3, 0.05)   # high, high, mid, below the low threshold
+
+    @pytest.mark.parametrize("kind", ["sort", "bytetrack", "ocsort"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_new_ids_ascend_in_detection_order(self, kind, seed):
+        rng = random.Random(seed)
+        tracker = make_tracker(TrackerConfig(kind=kind, min_hits=1))
+        cells = [(100.0 + 100.0 * (i % 8), 100.0 + 150.0 * (i // 8)) for i in range(64)]
+        rng.shuffle(cells)
+        live = {}    # cell -> track id
+        next_id = 1
+        for f in range(1, 9):
+            fresh = [cells.pop() for _ in range(rng.randint(1, 5))]
+            confidences = {c: rng.choice(self.CONFIDENCES) for c in fresh}
+            confidences.update({c: rng.choice((0.9, 0.3)) for c in live})
+            if kind != "bytetrack":
+                confidences = dict.fromkeys(confidences, 0.9)
+            order = list(confidences)
+            rng.shuffle(order)
+            out = tracker.step(f, [det(f, *c, conf=confidences[c]) for c in order])
+
+            ids = {(td.box.x + td.box.w / 2, td.box.y + td.box.h / 2): td.track_id
+                   for td in out}
+            assert {c: ids[c] for c in live} == live
+            spawned = [c for c in order if c in ids and c not in live]
+            assert [ids[c] for c in spawned] == list(range(next_id, next_id + len(spawned)))
+            # Only a high-confidence box that matched no track starts one.
+            assert spawned == [c for c in order if c in fresh and confidences[c] >= 0.6]
+            next_id += len(spawned)
+            live.update((c, ids[c]) for c in spawned)
+
+
 class TestOcSort:
     def test_single_observation_reduces_to_sort_association(self):
         # no motion history: the direction term is zero and association is

@@ -1,5 +1,7 @@
 import functools
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from wintrack.trackers import (
     track_frames,
 )
 from wintrack.window import (
+    LEVEL1_ID_LIMIT,
     UNMATCHED_ID_OFFSET,
     WindowedTracker,
     best_rows,
@@ -201,6 +204,122 @@ class TestPushRows:
         wt.push_frame(3, [])
         with pytest.raises(ValueError, match="already stepped 3"):
             wt.push_frame(3, [])
+
+
+def sort_bytetrack_pair(k):
+    """SORT level 1 under a ByteTrack level 2 that confirms on one hit."""
+    return WindowedTracker(make_tracker(TrackerConfig(kind="sort")),
+                           make_tracker(TrackerConfig(kind="bytetrack", min_hits=1)), k)
+
+
+class TestPushRowsChecks:
+    """A window's rows are checked when it is finalized; a faulty window
+    raises and is dropped, and the corrector goes on with the next one."""
+
+    def test_row_of_another_frame_rejected(self):
+        wt = sort_bytetrack_pair(2)
+        assert wt.push_rows(1, [tracked(5, 100, 100, 1)]) is None
+        with pytest.raises(ValueError, match="row frame 5 does not match pushed frame 1"):
+            wt.push_rows(2, [tracked(2, 100, 100, 1)])
+
+    def test_id_repeated_in_a_frame_rejected(self):
+        wt = sort_bytetrack_pair(2)
+        assert wt.push_rows(1, [tracked(1, 100, 100, 1)]) is None
+        with pytest.raises(ValueError, match="level-1 rows: frame 2 repeats id 1"):
+            wt.push_rows(2, [tracked(2, 100, 100, 1), tracked(2, 300, 100, 1)])
+
+    def test_one_id_in_several_frames_accepted(self):
+        wt = sort_bytetrack_pair(3)
+        for f in (1, 2):
+            assert wt.push_rows(f, [tracked(f, 100, 100, 7), tracked(f, 300, 100, 8)]) is None
+        out = wt.push_rows(3, [tracked(3, 100, 100, 7)])
+        assert [(td.frame, td.track_id) for td in out] == [(1, 1), (1, 2), (2, 1), (2, 2),
+                                                           (3, 1)]
+
+    @pytest.mark.parametrize("track_id", [2**62, 2**62 + 1, 2**63 - 1, 2**63 + 5, 10**30])
+    def test_id_at_or_above_the_limit_rejected(self, track_id):
+        wt = sort_bytetrack_pair(1)
+        with pytest.raises(ValueError, match=f"level-1 id {track_id} is not below {2**62}"):
+            wt.push_rows(1, [tracked(1, 100, 100, 3), tracked(1, 300, 100, track_id)])
+        assert LEVEL1_ID_LIMIT == 2**62
+
+    def test_largest_id_below_the_limit_keeps_its_fresh_id(self):
+        # 2m + 1 for m = 2**62 - 1 is the largest int64, 2**63 - 1.
+        wt = WindowedTracker(make_tracker(TrackerConfig(kind="sort")),
+                             make_tracker(TrackerConfig(kind="sort", min_hits=3)), 1)
+        out = wt.push_rows(1, [tracked(1, 100, 100, 2**62 - 1)])
+        assert [td.track_id for td in out] == [2**63 - 1]
+
+    def test_flush_checks_the_partial_window(self):
+        wt = sort_bytetrack_pair(3)
+        wt.push_rows(1, [tracked(1, 100, 100, 1), tracked(1, 300, 100, 1)])
+        with pytest.raises(ValueError, match="frame 1 repeats id 1"):
+            wt.flush()
+        assert wt.flush() == []
+
+    def test_faulty_window_dropped_before_level2_steps(self):
+        wt = sort_bytetrack_pair(2)
+        wt.push_rows(1, [tracked(1, 100, 100, 1)])
+        with pytest.raises(ValueError, match="row frame 9"):
+            wt.push_rows(2, [tracked(9, 100, 100, 1)])
+        assert wt.level2.tracks == []
+        wt.push_rows(3, [tracked(3, 100, 100, 1)])
+        out = wt.push_rows(4, [tracked(4, 100, 100, 1)])
+        assert [(td.frame, td.track_id) for td in out] == [(3, 1), (4, 1)]
+
+
+class TestLongStream:
+    def test_namespaces_and_memory_hold_over_a_long_stream(self):
+        # 10**5 frames pushed as level-1 rows, a row pair every 25th frame:
+        # a 0.9 box that jumps among three places, so level 2 (max_age=1)
+        # starts a track and issues an id each window, and a 0.05 box that
+        # level 2 ignores as background, so it keeps its fresh id.  Each
+        # window gives both boxes new level-1 ids; level-1 and level-2 ids
+        # both cross UNMATCHED_ID_OFFSET.
+        n_frames, k, every = 10**5, 1000, 25
+        n_windows, per_window = n_frames // k, k // every
+        wt = WindowedTracker(make_tracker(TrackerConfig(kind="sort")),
+                             make_tracker(TrackerConfig(kind="bytetrack", min_hits=1,
+                                                        max_age=1)), k)
+        wt.level2._next_id = UNMATCHED_ID_OFFSET - n_windows // 2
+        first_level1 = UNMATCHED_ID_OFFSET - n_windows
+        places = [BoundingBox(100.0 + 300.0 * i, 100.0, 40.0, 80.0) for i in range(3)]
+        background = BoundingBox(100.0, 500.0, 40.0, 80.0)
+        level2_side = np.zeros((n_windows, per_window), dtype=np.int64)
+        fresh_side = np.zeros((n_windows, per_window), dtype=np.int64)
+
+        spans = []    # traced (current, peak) bytes over windows 10-19 and 90-99
+        tracemalloc.start()
+        try:
+            for w in range(n_windows):
+                ids = first_level1 + 2 * w, first_level1 + 2 * w + 1
+                for f in range(w * k + 1, (w + 1) * k + 1):
+                    rows = ([MotRecord(f, ids[0], places[w % 3], 0.9),
+                             MotRecord(f, ids[1], background, 0.05)]
+                            if f % every == 0 else ())
+                    out = wt.push_rows(f, rows)
+                emitted = [td.track_id for td in out]
+                level2_side[w], fresh_side[w] = emitted[0::2], emitted[1::2]
+                if w + 1 in (n_windows // 10, n_windows - n_windows // 10):
+                    gc.collect()    # empties the interpreter's free lists
+                    tracemalloc.reset_peak()
+                elif w + 1 in (n_windows // 5, n_windows):
+                    gc.collect()
+                    spans.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+
+        assert (level2_side > 0).all() and (fresh_side > 0).all()
+        assert np.intersect1d(level2_side, fresh_side).size == 0
+        # One level-2 id per window, on both sides of the offset.
+        assert (level2_side == level2_side[:, :1]).all()
+        assert len(np.unique(level2_side)) == n_windows
+        assert level2_side.min() <= UNMATCHED_ID_OFFSET < level2_side.max()
+        assert fresh_side.min() < 2 * UNMATCHED_ID_OFFSET < fresh_side.max()
+        # Late windows hold and need no more memory than early ones.
+        (early_now, early_peak), (late_now, late_peak) = spans
+        assert late_now <= early_now + 4096, spans
+        assert late_peak <= early_peak + 4096, spans
 
 
 @functools.cache
