@@ -13,21 +13,14 @@ Exit codes: 0 success, 1 usage, 2 I/O failure, 3 data validation.
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
 
-from .metrics import (
-    UndefinedMetricError,
-    evaluate,
-    frames_from_records,
-    report_csv,
-    report_table,
-)
+from .ini import read_ini
+from .metrics import evaluate, frames_from_records, report_csv, report_table
 from .motio import (
-    MotFileError,
     read_detections,
     read_ground_truth,
     read_results,
@@ -35,7 +28,7 @@ from .motio import (
     write_ground_truth,
     write_results,
 )
-from .synth import ScenarioError, bundled_scenario, generate, load_scenario
+from .synth import bundled_scenario, generate, load_scenario
 from .trackers import TRACKER_KINDS, TrackerConfig, make_tracker, run_tracker, track_frames
 from .window import WindowedTracker, correct, run_windowed
 
@@ -43,10 +36,6 @@ DEFAULT_K = 3
 DEFAULT_SWEEP_KS = (2, 3, 5, 10)
 LEVEL2_KINDS = ("bytetrack", "ocsort")
 _FRAME_AND_ID = attrgetter("frame", "track_id")  # the order result files keep
-
-
-class ConfigError(ValueError):
-    """Invalid tracker config file."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,61 +66,41 @@ def _k_list(text: str) -> list[int]:
     return values
 
 
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
-                "yes": True, "no": False}
-_PARSERS = {
-    str: str.strip,
-    bool: lambda raw: _BOOL_VALUES[raw.strip().lower()],
-    int: int,
-    float: float,
-}
-# Each TrackerConfig field's value parser, chosen by the type of its default.
-_FIELD_PARSERS = {f.name: _PARSERS[type(getattr(TrackerConfig, f.name))]
-                  for f in fields(TrackerConfig)}
+def _bool(raw: str) -> bool:
+    words = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+    if raw.lower() not in words:
+        raise ValueError(f"expected one of {', '.join(words)}")
+    return words[raw.lower()]
 
 
-def _load_config_file(path) -> dict[str, dict]:
-    """Read [l1]/[l2] sections of key = value overrides for TrackerConfig."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    out: dict[str, dict] = {}
-    for section in parser.sections():
-        if section not in ("l1", "l2"):
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        overrides = {}
-        for key, raw in parser[section].items():
-            if key not in _FIELD_PARSERS:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            try:
-                overrides[key] = _FIELD_PARSERS[key](raw)
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(
-                    f"{path}: bad value {raw!r} for {key!r} in [{section}]"
-                ) from exc
-        out[section] = overrides
-    return out
+# Each TrackerConfig field's value parser, chosen by the type of its default;
+# the kind comes from --l1 or --l2.
+_FIELD_PARSERS = {f.name: {bool: _bool, int: int, float: float}[type(f.default)]
+                  for f in fields(TrackerConfig) if f.name != "kind"}
 
 
-def _tracker_config(kind: str, overrides: dict) -> TrackerConfig:
-    try:
-        return TrackerConfig(**{**overrides, "kind": kind})  # the flag wins over the file
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _tracker_configs(args) -> tuple[TrackerConfig, TrackerConfig | None]:
+    """The ``--l1`` and ``--l2`` configs (None without ``--l2``), each with the
+    ``--config`` file's values for its level."""
+    keys = {"l1": _FIELD_PARSERS, "l2": _FIELD_PARSERS}.get
+    sections = read_ini(args.config, keys, ValueError) if args.config else {}
+
+    def config(level):
+        try:
+            return TrackerConfig(kind=getattr(args, level), **sections.get(level, {}))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: [{level}] {exc}") from exc
+    return config("l1"), config("l2") if args.l2 else None
 
 
 def cmd_track(args) -> int:
     detections = read_detections(args.det)
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    level1 = make_tracker(_tracker_config(args.l1, file_cfg.get("l1", {})))
-    if args.l2 is None:
+    cfg_l1, cfg_l2 = _tracker_configs(args)
+    level1 = make_tracker(cfg_l1)
+    if cfg_l2 is None:
         tracked = run_tracker(level1, detections)
     else:
-        level2 = make_tracker(_tracker_config(args.l2, file_cfg.get("l2", {})))
-        tracked = run_windowed(WindowedTracker(level1, level2, args.k or DEFAULT_K),
+        tracked = run_windowed(WindowedTracker(level1, make_tracker(cfg_l2), args.k or DEFAULT_K),
                                detections)
     write_results(args.out, sorted(tracked, key=_FRAME_AND_ID))
     return 0
@@ -187,9 +156,7 @@ def cmd_sweep(args) -> int:
     detections = read_detections(args.det)
     gt = read_ground_truth(args.gt)
     gt_frames = frames_from_records(gt.evaluable())
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    cfg_l1 = _tracker_config(args.l1, file_cfg.get("l1", {}))
-    cfg_l2 = _tracker_config(args.l2, file_cfg.get("l2", {}))
+    cfg_l1, cfg_l2 = _tracker_configs(args)
     rows = _sweep_rows(detections, gt_frames, cfg_l1, cfg_l2, args.k_values)
     sys.stdout.write(_format_sweep(rows, args.format))
     return 0
@@ -268,8 +235,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"wintrack: {exc}", file=sys.stderr)
         return 2
-    except (MotFileError, ScenarioError, ConfigError, UndefinedMetricError,
-            ValueError) as exc:
+    except ValueError as exc:  # every data fault, the package's own errors included
         print(f"wintrack: {exc}", file=sys.stderr)
         return 3
 

@@ -15,7 +15,6 @@ general weaving motion) ship as ``BUNDLED_SCENARIOS``.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import BoundingBox
+from .ini import read_ini
 from .motio import Detection, MotRecord, SequenceData
 
 
@@ -123,9 +123,10 @@ class Scenario:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        count = self.frame_count
-        if isinstance(count, bool) or not isinstance(count, Integral) or count < 1:
-            raise ScenarioError(f"frame_count must be an integer >= 1, got {count!r}")
+        for name, least in (("seed", 0), ("frame_count", 1)):  # numpy rejects seeds < 0
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
         n = len(self.targets)
         for t, *_ in (*self.noise.dropout_windows, *self.noise.confidence_dips):
             if t > n:
@@ -177,20 +178,54 @@ def generate(scenario: Scenario) -> tuple[SequenceData, dict[int, list[Detection
 
 # --- config files -----------------------------------------------------------
 
-_SCENARIO_KEYS = {"name", "seed", "frames"}
-_TARGET_KEYS = {"waypoints", "width", "height", "hidden"}
-_NOISE_KEYS = {"jitter_std", "dropout", "dropout_windows", "confidence_dips"}
+def _split(token: str, sep: str, form: str) -> list[str]:
+    """``token``'s fields between ``sep``s; ``form`` names them, as in 'start-end'."""
+    parts = token.split(sep)
+    if len(parts) != form.count(sep) + 1:
+        raise ValueError(f"{token!r} should be {form}")
+    return parts
 
 
-def _tokens(text: str) -> list[str]:
-    return text.replace(",", " ").split()
+def _range(token: str) -> tuple[int, int]:
+    start, end = _split(token, "-", "start-end")
+    return int(start), int(end)
 
 
-def _parse_range(token: str) -> tuple[int, int]:
-    a, sep, b = token.partition("-")
-    if not sep:
-        raise ScenarioError(f"expected 'start-end' range, got {token!r}")
-    return int(a), int(b)
+def _waypoint(token: str) -> tuple[int, float, float]:
+    frame, cx, cy = _split(token, ":", "frame:cx:cy")
+    return int(frame), float(cx), float(cy)
+
+
+def _target_range(token: str) -> tuple[int, int, int, float]:
+    target, span, value = _split(token, ":", "target:start-end:value")
+    return (int(target), *_range(span), float(value))
+
+
+def _each(parse):
+    """A parser for a list of ``parse``'s tokens, separated by whitespace or commas."""
+    return lambda text: tuple(map(parse, text.replace(",", " ").split()))
+
+
+_SCENARIO_KEYS = {"name": str, "seed": int, "frames": int}
+_TARGET_KEYS = {"waypoints": _each(_waypoint), "width": float, "height": float,
+                "hidden": _each(_range)}
+_NOISE_KEYS = {"jitter_std": float, "dropout": float,
+               "dropout_windows": _each(_target_range), "confidence_dips": _each(_target_range)}
+
+
+def _section_keys(section: str):
+    head, _, index = section.partition(" ")
+    if head == "target" and index.isdigit():
+        return _TARGET_KEYS
+    return {"scenario": _SCENARIO_KEYS, "noise": _NOISE_KEYS}.get(section)
+
+
+def _spec(cls, section: str, sections: dict):
+    """``cls`` made from the section's values; a fault names the section."""
+    try:
+        return cls(**sections.get(section, {}))
+    except (ScenarioError, TypeError) as exc:  # TypeError: a required key is missing
+        raise ScenarioError(f"[{section}] {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -214,78 +249,23 @@ def load_scenario(path) -> Scenario:
         dropout_windows = 1:25-36:1.0     ; target:start-end:prob
         confidence_dips = 1:20-23:0.3     ; target:start-end:conf
 
-    Unknown sections or keys are rejected by name.
+    Unknown sections or keys are rejected by name, and every error names
+    the file and, where it applies, the section and key.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-    if not parser.has_section("scenario"):
+    sections = read_ini(path, _section_keys, ScenarioError)
+    if "scenario" not in sections:
         raise ScenarioError(f"{path}: missing [scenario] section")
-
-    target_sections: dict[int, str] = {}
-    for section in parser.sections():
-        if section in ("scenario", "noise"):
-            continue
-        head, _, index = section.partition(" ")
-        if head != "target" or not index.isdigit():
-            raise ScenarioError(f"{path}: unknown section [{section}]")
-        target_sections[int(index)] = section
-    if sorted(target_sections) != list(range(1, len(target_sections) + 1)):
+    targets = {int(s.partition(" ")[2]): s for s in sections if s.startswith("target ")}
+    if sorted(targets) != list(range(1, len(targets) + 1)):
         raise ScenarioError(f"{path}: target sections must be numbered 1..n")
-
-    def check_keys(section: str, allowed: set[str]):
-        for key in parser[section]:
-            if key not in allowed:
-                raise ScenarioError(f"unknown key {key!r} in section [{section}]")
-
+    values = sections["scenario"]
     try:
-        check_keys("scenario", _SCENARIO_KEYS)
-        sc = parser["scenario"]
-        name = sc.get("name", Path(path).stem)
-        seed = sc.getint("seed", 0)
-        frames = sc.getint("frames")  # required: None fails Scenario's check
-
-        targets = []
-        for i in range(1, len(target_sections) + 1):
-            section = target_sections[i]
-            check_keys(section, _TARGET_KEYS)
-            tc = parser[section]
-            if "waypoints" not in tc or "width" not in tc or "height" not in tc:
-                raise ScenarioError(f"[{section}] needs waypoints, width and height")
-            waypoints = []
-            for token in _tokens(tc["waypoints"]):
-                parts = token.split(":")
-                if len(parts) != 3:
-                    raise ScenarioError(f"waypoint {token!r} should be frame:cx:cy")
-                waypoints.append((int(parts[0]), float(parts[1]), float(parts[2])))
-            hidden = tuple(_parse_range(t) for t in _tokens(tc.get("hidden", "")))
-            targets.append(TargetSpec(tuple(waypoints), tc.getfloat("width"),
-                                      tc.getfloat("height"), hidden))
-
-        noise = NoiseSpec()
-        if parser.has_section("noise"):
-            check_keys("noise", _NOISE_KEYS)
-            nc = parser["noise"]
-            windows = []
-            for token in _tokens(nc.get("dropout_windows", "")):
-                target, rng_, prob = token.split(":")
-                windows.append((int(target), *_parse_range(rng_), float(prob)))
-            dips = []
-            for token in _tokens(nc.get("confidence_dips", "")):
-                target, rng_, conf = token.split(":")
-                dips.append((int(target), *_parse_range(rng_), float(conf)))
-            noise = NoiseSpec(nc.getfloat("jitter_std", 0.0),
-                              nc.getfloat("dropout", 0.0),
-                              tuple(windows), tuple(dips))
-        return Scenario(name=name, seed=seed, frame_count=frames,
-                        targets=tuple(targets), noise=noise)
-    except (ValueError, configparser.Error) as exc:
-        # Every error in the file's content, the specs' own checks included,
-        # names the file once.
+        return Scenario(name=values.get("name", Path(path).stem), seed=values.get("seed", 0),
+                        frame_count=values.get("frames"),  # required: None fails the check
+                        targets=tuple(_spec(TargetSpec, targets[i], sections)
+                                      for i in sorted(targets)),
+                        noise=_spec(NoiseSpec, "noise", sections))
+    except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 

@@ -16,9 +16,9 @@ The two namespaces are disjoint at any id count: level-2 ids up to
 UNMATCHED_ID_OFFSET and fresh ids UNMATCHED_ID_OFFSET plus a level-1 id
 below it are emitted as they are; above the offset, level-2 id n is
 emitted as 2n and level-1 id m as 2m + 1, so level-1 ids must be below
-LEVEL1_ID_LIMIT = 2**62.  A window whose rows break that, repeat an id in a
-frame or carry another frame than the pushed one raises ValueError when it
-is finalized, and its rows are dropped.
+LEVEL1_ID_LIMIT = 2**62.  A window with an id past that, an id that is no
+integer (or a bool), an id repeated in a frame or a row of another frame
+than the pushed one raises ValueError when finalized; its rows are dropped.
 
 Because level 2 steps once per window, a track it can hold for n of its own
 steps survives k*n source frames, which is what lets the corrected stream
@@ -114,6 +114,10 @@ class WindowedTracker:
         if row_frames != pushed:
             stray, f = next(p for p in zip(row_frames, pushed) if p[0] != p[1])
             raise ValueError(f"row frame {stray} does not match pushed frame {f}")
+        if any(t is bool or not issubclass(t, Integral) for t in set(map(type, level1_ids))):
+            f, i = next((f, i) for f, i in zip(pushed, level1_ids)
+                        if isinstance(i, bool) or not isinstance(i, Integral))
+            raise ValueError(f"level-1 rows: frame {f} has id {i!r}, not an integer")
         if max(level1_ids, default=0) >= LEVEL1_ID_LIMIT:
             raise ValueError(f"level-1 id {max(level1_ids)} is not below {LEVEL1_ID_LIMIT}")
         if len(set(zip(pushed, level1_ids))) < len(rows):

@@ -116,6 +116,70 @@ class TestTrack:
         assert code == 3
         assert "max_age" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["l1", "l2"])
+    def test_kind_key_is_data_error(self, scene_files, tmp_path, capsys, section):
+        # --l1/--l2 name each level's kind; a kind in the file never took effect.
+        _, det_path = scene_files
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\nkind = sort\n")
+        out = tmp_path / "r.txt"
+        code = main(["track", "--det", str(det_path), "--l1", "sort", "--l2", "bytetrack",
+                     "--out", str(out), "--config", str(cfg)])
+        assert code == 3
+        assert "'kind'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, line, kinds", [
+        ("l1", "ocm_weight = nan", ["--l1", "ocsort"]),
+        ("l1", "max_age = 0", ["--l1", "sort"]),
+        ("l2", "low_conf_threshold = 0.9", ["--l1", "sort", "--l2", "bytetrack"]),
+    ])
+    def test_tracker_config_fault_names_file_and_section(self, scene_files, tmp_path,
+                                                         capsys, section, line, kinds):
+        _, det_path = scene_files
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        code = main(["track", "--det", str(det_path), *kinds,
+                     "--out", str(tmp_path / "r.txt"), "--config", str(cfg)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{cfg}: [{section}] " in err and line.split()[0] in err
+
+    def test_sweep_config_fault_names_file_and_section(self, scene_files, tmp_path, capsys):
+        gt_path, det_path = scene_files
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[l2]\nmin_hits = 0\n")
+        code = main(["sweep", "--det", str(det_path), "--gt", str(gt_path),
+                     "--l1", "sort", "--l2", "bytetrack", "--config", str(cfg)])
+        assert code == 3
+        assert f"{cfg}: [l2] min_hits" in capsys.readouterr().err
+
+    def test_interpolation_fault_is_data_error(self, scene_files, tmp_path, capsys):
+        _, det_path = scene_files
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[l1]\nmax_age = %(missing)s\n")
+        code = main(["track", "--det", str(det_path), "--l1", "sort",
+                     "--out", str(tmp_path / "r.txt"), "--config", str(cfg)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "'max_age'" in err
+
+    def test_default_section_and_interpolation_apply(self, scene_files, tmp_path):
+        # The INI dialect: a DEFAULT key reaches every section, %(name)s
+        # interpolates and a comment may follow a value.
+        _, det_path = scene_files
+        plain, dialect = tmp_path / "plain.ini", tmp_path / "dialect.ini"
+        plain.write_text("[l1]\nmin_hits = 1\nmax_age = 10\n[l2]\nmin_hits = 1\n")
+        dialect.write_text("[DEFAULT]\nmin_hits = 1  # both levels\n"
+                           "[l1]\nmax_age = %(min_hits)s0  ; 10\n[l2]\n")
+        outs = []
+        for cfg in (plain, dialect):
+            outs.append(tmp_path / f"{cfg.stem}.txt")
+            assert main(["track", "--det", str(det_path), "--l1", "sort",
+                         "--l2", "bytetrack", "--out", str(outs[-1]),
+                         "--config", str(cfg)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_boolean_word_is_accepted(self, scene_files, tmp_path):
         _, det_path = scene_files
         cfg = tmp_path / "cfg.ini"
@@ -308,6 +372,20 @@ class TestSynthCommand:
         code = main(["synth", "--scenario", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 3
         assert "wobble" in capsys.readouterr().err
+
+    def test_bad_value_names_file_section_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.ini"
+        cfg.write_text("[scenario]\nframes = x\n")
+        code = main(["synth", "--scenario", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert f"{cfg}: bad value 'x' for 'frames' in [scenario]" in capsys.readouterr().err
+
+    def test_negative_seed_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "scene.ini"
+        cfg.write_text("[scenario]\nframes = 10\nseed = -1\n")
+        code = main(["synth", "--scenario", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert f"{cfg}: seed must be an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, named", [
         ("jitter_std", "nan", "jitter_std"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -126,6 +127,13 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="frame_count"):
             plain_scenario(frame_count=frame_count)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        # numpy's generator rejects a negative seed only once generation starts.
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            plain_scenario(seed=seed)
+
     def test_noise_must_reference_existing_target(self):
         with pytest.raises(ScenarioError, match="unknown target"):
             plain_scenario(noise=NoiseSpec(confidence_dips=((9, 1, 2, 0.5),)))
@@ -195,6 +203,63 @@ confidence_dips = 1:20-22:0.3
             "[target 1]\nwaypoints = 1:1\nwidth = 5\nheight = 5\n"
         )
         with pytest.raises(ScenarioError, match="frame:cx:cy"):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("section, line", [
+        ("scenario", "frames = x"),
+        ("scenario", "seed = 1.5"),
+        ("target 1", "waypoints = 1:50:60 30:x:60"),
+        ("target 1", "hidden = 5"),
+        ("noise", "dropout_windows = 1:2-3"),
+        ("noise", "confidence_dips = 1:2:3:0.5"),
+        ("noise", "jitter_std = lots"),
+    ])
+    def test_bad_value_names_file_section_and_key(self, tmp_path, section, line):
+        lines = {"scenario": "frames = 30", "target 1": "waypoints = 1:50:60 30:110:60",
+                 "noise": "dropout = 0"}
+        lines[section] = line
+        p = tmp_path / "s.ini"
+        p.write_text(f"[scenario]\n{lines['scenario']}\n"
+                     f"[target 1]\nwidth = 30\nheight = 60\n{lines['target 1']}\n"
+                     f"[noise]\n{lines['noise']}\n")
+        key = line.split()[0]
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(p)
+        message = str(info.value)
+        assert message.startswith(f"{p}: ")
+        assert f"{key!r}" in message and f"[{section}]" in message
+
+    @pytest.mark.parametrize("section, line, edited, named", [
+        ("target 2", "width = 24", "width = -1", "width"),
+        ("target 2", "width = 24", "width = 24\nhidden = 9-3", "hidden range 9-3"),
+        ("noise", "dropout = 0.02", "dropout = 2", "dropout"),
+    ])
+    def test_spec_fault_names_file_and_section(self, tmp_path, section, line, edited, named):
+        p = tmp_path / "s.ini"
+        p.write_text(self.GOOD.replace(line, edited))
+        with pytest.raises(ScenarioError, match=re.escape(f"{p}: [{section}] ")) as info:
+            load_scenario(p)
+        assert named in str(info.value)
+
+    def test_missing_target_key_names_file_section_and_key(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text("[scenario]\nframes = 10\n[target 1]\nwaypoints = 1:1:1\nwidth = 5\n")
+        with pytest.raises(ScenarioError, match=re.escape("bad.ini: [target 1] ")) as info:
+            load_scenario(p)
+        assert "'height'" in str(info.value)
+
+    def test_interpolation_and_inline_comments_apply(self, tmp_path):
+        plain, dialect = tmp_path / "plain.ini", tmp_path / "dialect.ini"
+        plain.write_text(self.GOOD.replace("seed = 5", "seed = 30"))
+        dialect.write_text(self.GOOD.replace("seed = 5", "seed = %(frames)s  # as frames"))
+        assert load_scenario(dialect) == load_scenario(plain)
+
+    def test_default_key_reaches_every_section(self, tmp_path):
+        # A DEFAULT key is a key of every section, so [target 1] rejects it.
+        p = tmp_path / "bad.ini"
+        p.write_text(self.GOOD.replace("name = demo\n", "")
+                     .replace("[scenario]", "[DEFAULT]\nname = demo\n[scenario]"))
+        with pytest.raises(ScenarioError, match=r"unknown key 'name' in .*\[target 1\]"):
             load_scenario(p)
 
     def test_missing_frames_key_is_scenario_error(self, tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,32 @@ class TestPushRowsChecks:
         with pytest.raises(ValueError, match="frame 1 repeats id 1"):
             wt.flush()
         assert wt.flush() == []
+
+    # A float id would be truncated to int64, so 1.5 and 1 would share one
+    # output id; nan would fail inside numpy; a bool is no integer either.
+    @pytest.mark.parametrize("track_id", [1.5, 2.0, math.nan, True, np.True_, np.float64(3)])
+    def test_non_integer_id_rejected(self, track_id):
+        wt = sort_bytetrack_pair(2)
+        assert wt.push_rows(1, [tracked(1, 100, 100, 1)]) is None
+        rows = [tracked(2, 100, 100, 1), tracked(2, 300, 100, track_id)]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"frame 2 has id {track_id!r}, not an integer")):
+            wt.push_rows(2, rows)
+        assert wt.level2.tracks == []
+
+    def test_lone_non_integer_id_rejected(self):
+        wt = sort_bytetrack_pair(1)
+        with pytest.raises(ValueError, match="frame 1 has id True, not an integer"):
+            wt.push_rows(1, [tracked(1, 100, 100, True)])
+
+    def test_numpy_integer_ids_accepted(self):
+        def corrected(ids):
+            wt = sort_bytetrack_pair(2)
+            wt.push_rows(1, [tracked(1, 100, 100, ids[0]), tracked(1, 300, 100, ids[1])])
+            out = wt.push_rows(2, [tracked(2, 100, 100, ids[0]), tracked(2, 300, 100, ids[1])])
+            return [(td.frame, td.track_id, td.box) for td in out]
+
+        assert corrected([np.int64(7), np.int32(8)]) == corrected([7, 8])
 
     def test_faulty_window_dropped_before_level2_steps(self):
         wt = sort_bytetrack_pair(2)
