@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .ini import read_ini
-from .metrics import evaluate, frames_from_records, report_csv, report_table
+from .metrics import evaluate, frames_from_records
 from .motio import (
     read_detections,
     read_ground_truth,
@@ -81,16 +81,17 @@ _FIELD_PARSERS = {f.name: {bool: _bool, int: int, float: float}[type(f.default)]
 
 def _tracker_configs(args) -> tuple[TrackerConfig, TrackerConfig | None]:
     """The ``--l1`` and ``--l2`` configs (None without ``--l2``), each with the
-    ``--config`` file's values for its level."""
+    ``--config`` file's values for its level; ``[l2]`` is checked without ``--l2`` too."""
     keys = {"l1": _FIELD_PARSERS, "l2": _FIELD_PARSERS}.get
     sections = read_ini(args.config, keys, ValueError) if args.config else {}
 
-    def config(level):
+    def config(level, kind):
         try:
-            return TrackerConfig(kind=getattr(args, level), **sections.get(level, {}))
+            return TrackerConfig(kind=kind, **sections.get(level, {}))
         except ValueError as exc:
             raise ValueError(f"{args.config}: [{level}] {exc}") from exc
-    return config("l1"), config("l2") if args.l2 else None
+    cfg_l1, cfg_l2 = config("l1", args.l1), config("l2", args.l2 or LEVEL2_KINDS[0])
+    return cfg_l1, cfg_l2 if args.l2 else None
 
 
 def cmd_track(args) -> int:
@@ -106,50 +107,70 @@ def cmd_track(args) -> int:
     return 0
 
 
+# (label, MetricsReport field) of each score `eval` prints; `sweep` prints the first four.
+_SCORES = (("IDF1", "idf1"), ("HOTA", "hota"), ("MOTA", "mota"), ("MOTP", "motp"),
+           ("DetA", "det_a"), ("AssA", "ass_a"))
+
+
+def _percent(report, field: str) -> str:
+    """A score as every table prints it: a percentage with one decimal."""
+    return f"{100.0 * getattr(report, field):.1f}"
+
+
+def _csv(header, rows) -> str:
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
+
+
+def _format_eval(report, fmt: str) -> str:
+    c, i = report.clear, report.identity
+    scores = [(label, _percent(report, field)) for label, field in _SCORES]
+    counts = [(label, str(value)) for label, value in (
+        ("gtDet", c.gt_det), ("TP", c.tp), ("FP", c.fp), ("FN", c.fn),
+        ("IDSW", c.idsw), ("IDTP", i.idtp), ("IDFP", i.idfp), ("IDFN", i.idfn))]
+    if fmt == "csv":
+        return _csv([label.lower() for label, _ in scores + counts],
+                    [[value for _, value in scores + counts]])
+
+    def block(head, items):
+        return [f"{head:<8}{'Value':>8}", *(f"{label:<8}{value:>8}" for label, value in items)]
+    return "\n".join(block("Metric", scores) + [""] + block("Count", counts)) + "\n"
+
+
 def cmd_eval(args) -> int:
     gt = read_ground_truth(args.gt)
     res = read_results(args.res)
     report = evaluate(frames_from_records(gt.evaluable()),
                       frames_from_records(res.records))
-    render = report_csv if args.format == "csv" else report_table
-    sys.stdout.write(render(report))
+    sys.stdout.write(_format_eval(report, args.format))
     return 0
 
 
-_SWEEP_HEADER = ("l2", "k", "idf1", "hota", "mota", "motp")
-
-
 def _sweep_rows(detections, gt_frames, cfg_l1, cfg_l2, k_values):
-    """The baseline's report, then each k's, all from one level-1 run."""
+    """The baseline's report, then each k's, all from one level-1 run; each
+    run is scored as soon as it is made."""
+    def row(l2, k, tracked):
+        return l2, k, evaluate(gt_frames, frames_from_records(sorted(tracked, key=_FRAME_AND_ID)))
     level1 = make_tracker(cfg_l1)
     frames = list(track_frames(level1, detections))
-    runs = [("-", "-", [td for _, tracked in frames for td in tracked])]
+    rows = [row("-", "-", [td for _, tracked in frames for td in tracked])]
     for k in k_values:
         corrected = correct(WindowedTracker(level1, make_tracker(cfg_l2), k), frames)
-        runs.append((cfg_l2.kind, str(k), corrected))
-    return [(l2, k, evaluate(gt_frames, frames_from_records(sorted(tracked, key=_FRAME_AND_ID))))
-            for l2, k, tracked in runs]
+        rows.append(row(cfg_l2.kind, str(k), corrected))
+    return rows
 
 
 def _format_sweep(rows, fmt: str) -> str:
-    cells = [
-        (l2, k) + tuple(
-            f"{100.0 * getattr(r, f):.1f}" for f in ("idf1", "hota", "mota", "motp")
-        )
-        for l2, k, r in rows
-    ]
+    header = ("l2", "k", *(field for _, field in _SCORES[:4]))
+    cells = [(l2, k, *(_percent(r, field) for _, field in _SCORES[:4])) for l2, k, r in rows]
     if fmt == "csv":
-        lines = [",".join(_SWEEP_HEADER)]
-        lines.extend(",".join(row) for row in cells)
-    else:
-        widths = [max(len(h), *(len(row[i]) for row in cells))
-                  for i, h in enumerate(_SWEEP_HEADER)]
-        def fmt_row(row):
-            left = f"{row[0]:<{widths[0]}}  {row[1]:>{widths[1]}}"
-            rest = "  ".join(f"{v:>{widths[i + 2]}}" for i, v in enumerate(row[2:]))
-            return f"{left}  {rest}"
-        lines = [fmt_row(_SWEEP_HEADER)] + [fmt_row(row) for row in cells]
-    return "\n".join(lines) + "\n"
+        return _csv(header, cells)
+    widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(header)]
+
+    def fmt_row(row):
+        left = f"{row[0]:<{widths[0]}}  {row[1]:>{widths[1]}}"
+        rest = "  ".join(f"{v:>{widths[i + 2]}}" for i, v in enumerate(row[2:]))
+        return f"{left}  {rest}"
+    return "\n".join(fmt_row(row) for row in (header, *cells)) + "\n"
 
 
 def cmd_sweep(args) -> int:

@@ -376,36 +376,3 @@ def evaluate_sequences(
         counts.append((_clear(seq), _identity(seq), _hota(seq)))
     clear, identity, acc = (reduce(add, column) for column in zip(*counts))
     return _report_from(clear, identity, acc)
-
-
-_SCORE_FIELDS = ("idf1", "hota", "mota", "motp", "det_a", "ass_a")
-_SCORE_LABELS = ("IDF1", "HOTA", "MOTA", "MOTP", "DetA", "AssA")
-
-
-def _count_items(report: MetricsReport) -> list[tuple[str, int]]:
-    c, i = report.clear, report.identity
-    return [
-        ("gtDet", c.gt_det), ("TP", c.tp), ("FP", c.fp), ("FN", c.fn),
-        ("IDSW", c.idsw), ("IDTP", i.idtp), ("IDFP", i.idfp), ("IDFN", i.idfn),
-    ]
-
-
-def report_table(report: MetricsReport) -> str:
-    """Aligned text table; scores as percentages with one decimal."""
-    lines = [f"{'Metric':<8}{'Value':>8}"]
-    for label, field in zip(_SCORE_LABELS, _SCORE_FIELDS):
-        lines.append(f"{label:<8}{100.0 * getattr(report, field):>8.1f}")
-    lines.append("")
-    lines.append(f"{'Count':<8}{'Value':>8}")
-    for label, value in _count_items(report):
-        lines.append(f"{label:<8}{value:>8d}")
-    return "\n".join(lines) + "\n"
-
-
-def report_csv(report: MetricsReport) -> str:
-    """Single-row CSV; scores as percentages with one decimal."""
-    headers = [*(l.lower() for l in _SCORE_LABELS),
-               *(l.lower() for l, _ in _count_items(report))]
-    scores = [f"{100.0 * getattr(report, f):.1f}" for f in _SCORE_FIELDS]
-    counts = [str(v) for _, v in _count_items(report)]
-    return ",".join(headers) + "\n" + ",".join(scores + counts) + "\n"

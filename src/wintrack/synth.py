@@ -127,10 +127,10 @@ class Scenario:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
                 raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
-        n = len(self.targets)
-        for t, *_ in (*self.noise.dropout_windows, *self.noise.confidence_dips):
-            if t > n:
-                raise ScenarioError(f"noise entry refers to unknown target {t}")
+        for key in ("dropout_windows", "confidence_dips"):
+            for t, *_ in getattr(self.noise, key):
+                if t > len(self.targets):
+                    raise ScenarioError(f"[noise] {key!r} refers to unknown target {t}")
 
 
 def generate(scenario: Scenario) -> tuple[SequenceData, dict[int, list[Detection]]]:
@@ -259,9 +259,11 @@ def load_scenario(path) -> Scenario:
     if sorted(targets) != list(range(1, len(targets) + 1)):
         raise ScenarioError(f"{path}: target sections must be numbered 1..n")
     values = sections["scenario"]
+    if "frames" not in values:
+        raise ScenarioError(f"{path}: missing key 'frames' in [scenario]")
     try:
         return Scenario(name=values.get("name", Path(path).stem), seed=values.get("seed", 0),
-                        frame_count=values.get("frames"),  # required: None fails the check
+                        frame_count=values["frames"],
                         targets=tuple(_spec(TargetSpec, targets[i], sections)
                                       for i in sorted(targets)),
                         noise=_spec(NoiseSpec, "noise", sections))

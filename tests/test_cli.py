@@ -1,6 +1,7 @@
 import pytest
 
-from wintrack.cli import _sweep_rows, main
+from test_metrics import single_track, split_id_case
+from wintrack.cli import _format_eval, _sweep_rows, main
 from wintrack.metrics import evaluate, frames_from_records
 from wintrack.motio import read_results, write_detections, write_ground_truth
 from wintrack.synth import bundled_scenario, generate
@@ -133,6 +134,7 @@ class TestTrack:
         ("l1", "ocm_weight = nan", ["--l1", "ocsort"]),
         ("l1", "max_age = 0", ["--l1", "sort"]),
         ("l2", "low_conf_threshold = 0.9", ["--l1", "sort", "--l2", "bytetrack"]),
+        ("l2", "low_conf_threshold = 0.9", ["--l1", "sort"]),  # [l2] is checked without --l2
     ])
     def test_tracker_config_fault_names_file_and_section(self, scene_files, tmp_path,
                                                          capsys, section, line, kinds):
@@ -319,6 +321,86 @@ class TestSweep:
         assert frames == list(range(1, 121))
 
 
+class TestExactOutput:
+    """Every byte `eval` and `sweep` print, on the idswitch scene."""
+
+    EVAL_TABLE = """\
+Metric     Value
+IDF1        81.7
+HOTA        87.4
+MOTA        96.5
+MOTP       100.0
+DetA        97.0
+AssA        78.7
+
+Count      Value
+gtDet        200
+TP           194
+FP             0
+FN             6
+IDSW           1
+IDTP         161
+IDFP          33
+IDFN          39
+"""
+    EVAL_CSV = """\
+idf1,hota,mota,motp,deta,assa,gtdet,tp,fp,fn,idsw,idtp,idfp,idfn
+81.7,87.4,96.5,100.0,97.0,78.7,200,194,0,6,1,161,33,39
+"""
+    SWEEP_TABLE = """\
+l2          k  idf1  hota  mota   motp
+-           -  81.7  87.4  96.5  100.0
+bytetrack   2  92.9  91.7  95.0  100.0
+bytetrack   3  92.4  91.3  95.0  100.0
+bytetrack   5  86.3  86.0  95.0  100.0
+bytetrack  10  66.0  72.9  95.0  100.0
+"""
+    SWEEP_CSV = """\
+l2,k,idf1,hota,mota,motp
+-,-,81.7,87.4,96.5,100.0
+bytetrack,2,92.9,91.7,95.0,100.0
+bytetrack,3,92.4,91.3,95.0,100.0
+bytetrack,5,86.3,86.0,95.0,100.0
+bytetrack,10,66.0,72.9,95.0,100.0
+"""
+
+    @pytest.mark.parametrize("fmt, expected", [("table", EVAL_TABLE), ("csv", EVAL_CSV)],
+                             ids=["table", "csv"])
+    def test_eval(self, scene_files, tmp_path, capsys, fmt, expected):
+        gt_path, det_path = scene_files
+        res = tmp_path / "res.txt"
+        assert main(["track", "--det", str(det_path), "--l1", "sort", "--out", str(res)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--gt", str(gt_path), "--res", str(res), "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt, expected", [("table", SWEEP_TABLE), ("csv", SWEEP_CSV)],
+                             ids=["table", "csv"])
+    def test_sweep(self, scene_files, capsys, fmt, expected):
+        gt_path, det_path = scene_files
+        assert main(["sweep", "--det", str(det_path), "--gt", str(gt_path), "--l1", "sort",
+                     "--l2", "bytetrack", "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestRendering:
+    def test_table_has_one_decimal_percentages(self):
+        gt = single_track(range(1, 11))
+        text = _format_eval(evaluate(gt, gt), "table")
+        assert "MOTA       100.0" in text.replace("  ", " ") or "100.0" in text
+        assert "gtDet" in text
+
+    def test_csv_round_trip(self):
+        gt, pred = split_id_case()
+        text = _format_eval(evaluate(gt, pred), "csv")
+        header, row = text.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["mota"] == "90.0"
+        assert cells["idf1"] == "50.0"
+        assert cells["hota"] == "70.7"
+        assert cells["idsw"] == "1"
+
+
 def report_fingerprint(report):
     """Every score as float hex, the count reprs and the HOTA arrays."""
     acc = report.hota_acc
@@ -410,6 +492,22 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert named in err
         assert str(cfg) in err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("nof.ini", "[scenario]\nseed = 1\n", "missing key 'frames' in [scenario]"),
+        ("unk.ini", "[scenario]\nframes = 10\n"
+                    "[target 1]\nwaypoints = 1:50:50 10:70:50\nwidth = 20\nheight = 40\n"
+                    "[noise]\nconfidence_dips = 3:1-2:0.5\n",
+         "[noise] 'confidence_dips' refers to unknown target 3"),
+    ], ids=["no-frames", "unknown-target"])
+    def test_scenario_fault_names_section_and_key(self, tmp_path, capsys,
+                                                  name, text, message):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code = main(["synth", "--scenario", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_bundled_name_is_data_error(self, tmp_path):
         code = main(["synth", "--scenario", "not-a-scene",

@@ -29,8 +29,6 @@ from wintrack.metrics import (
     match_clear,
     mota,
     motp,
-    report_csv,
-    report_table,
 )
 from wintrack.synth import BUNDLED_SUITE, bundled_scenario, generate
 from wintrack.trackers import (
@@ -555,24 +553,6 @@ class TestInvariances:
         out = evaluate(gt, relabeled)
         for field in ("mota", "motp", "idf1", "hota", "det_a", "ass_a"):
             assert getattr(out, field) == getattr(base, field)
-
-
-class TestRendering:
-    def test_table_has_one_decimal_percentages(self):
-        gt = single_track(range(1, 11))
-        text = report_table(evaluate(gt, gt))
-        assert "MOTA       100.0" in text.replace("  ", " ") or "100.0" in text
-        assert "gtDet" in text
-
-    def test_csv_round_trip(self):
-        gt, pred = split_id_case()
-        text = report_csv(evaluate(gt, pred))
-        header, row = text.strip().split("\n")
-        cells = dict(zip(header.split(","), row.split(",")))
-        assert cells["mota"] == "90.0"
-        assert cells["idf1"] == "50.0"
-        assert cells["hota"] == "70.7"
-        assert cells["idsw"] == "1"
 
 
 def random_micro_instance(rng: random.Random, ensure_content: bool = False):

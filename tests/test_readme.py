@@ -49,6 +49,12 @@ def test_tracker_ini_block(in_scene_dir, tmp_path):
     assert main([*track, "--config", str(cfg), "--out", "scene/res.txt"]) == 0
     # The block's [l2] min_hits = 1 changes what level 2 emits.
     assert Path("scene/res.txt").read_bytes() != Path("scene/default.txt").read_bytes()
+    # The block's [l1] holds the defaults, and a solo track checks its [l2] but
+    # does not use it.
+    solo = ["track", "--det", "scene/det.txt", "--l1", "sort"]
+    assert main([*solo, "--out", "scene/default.txt"]) == 0
+    assert main([*solo, "--config", str(cfg), "--out", "scene/res.txt"]) == 0
+    assert Path("scene/res.txt").read_bytes() == Path("scene/default.txt").read_bytes()
     assert main(["sweep", "--det", "scene/det.txt", "--gt", "scene/gt.txt", "--l1", "sort",
                  "--l2", "bytetrack", "--config", str(cfg)]) == 0
 

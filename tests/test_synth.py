@@ -262,10 +262,21 @@ confidence_dips = 1:20-22:0.3
         with pytest.raises(ScenarioError, match=r"unknown key 'name' in .*\[target 1\]"):
             load_scenario(p)
 
+    @pytest.mark.parametrize("key", ["dropout_windows", "confidence_dips"])
+    def test_unknown_noise_target_names_section_and_key(self, tmp_path, key):
+        p = tmp_path / "unk.ini"
+        p.write_text("[scenario]\nframes = 10\n"
+                     "[target 1]\nwaypoints = 1:50:50 10:70:50\nwidth = 20\nheight = 40\n"
+                     f"[noise]\n{key} = 1:1-2:0.5 3:1-2:0.5\n")
+        message = f"unk.ini: [noise] {key!r} refers to unknown target 3"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(p)
+
     def test_missing_frames_key_is_scenario_error(self, tmp_path):
         p = tmp_path / "bad.ini"
         p.write_text("[scenario]\nseed = 1\n")
-        with pytest.raises(ScenarioError, match="bad.ini: frame_count"):
+        message = "bad.ini: missing key 'frames' in [scenario]"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             load_scenario(p)
 
 
