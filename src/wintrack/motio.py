@@ -16,10 +16,10 @@ differs only in its tail columns:
   ground truth: flag,class,visibility
 
 A file is read as one array of the leading fields each kind names
-(``_table``), checked as a whole; a per-line parser (``_rows``) reads it
-again only to name a bad line.  One writer formats the shared prefix
-(``_write``).  Extra trailing columns are ignored on read.  LF and CRLF are
-both accepted; LF is emitted.
+(``_table``), and one array check (``_first_fault``) names its first bad
+line; the line split only re-parses fields with ``float``.  One writer
+formats the shared prefix (``_write``).  Extra trailing columns are ignored
+on read.  LF and CRLF are both accepted; LF is emitted.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,96 +95,62 @@ class SequenceData:
         ]
 
 
-def _error(path, lineno: int, what: str) -> MotFileError:
-    return MotFileError(f"{path}: line {lineno}: {what}")
-
-
-def _rows(path, names: Sequence[str], records: bool) -> Iterator[list]:
-    """Yield the values of each non-blank line of a MOT file, in file order.
-
-    The values are the leading fields named by ``names``, as finite floats;
-    frame, id and class are whole numbers and come back as ints, and a frame
-    is at least 1.  For ``records`` (ground truth and results) an id is also
-    at least 1, box sides are positive and no (frame, id) pair repeats; a
-    detection line with a non-positive side is logged with its line number
-    and still yielded.  The first fault raises MotFileError naming its line:
-    a bad field in column order, then the frame, the id, the sides and the
-    repeat.
+def _first_fault(table: np.ndarray, names: Sequence[str],
+                 records: bool) -> tuple[int, int] | None:
+    """The first row of ``table`` to break a rule, and the first rule it
+    breaks, numbered in test order: each field (finite; frame, id and class
+    whole), the frame (>= 1) and, for ``records``, the id (>= 1), the sides
+    (positive) and the repeat of an earlier (frame, id).  None if all pass.
     """
-    seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) < len(names):
-                raise _error(path, lineno, f"expected at least {len(names)} "
-                             f"comma-separated fields, got {len(fields)}")
-            values = []
-            for name, text in zip(names, fields):
-                text = text.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise _error(path, lineno, f"field {name!r} is not numeric: "
-                                 f"{text!r}") from None
-                if not math.isfinite(value):
-                    raise _error(path, lineno, f"field {name!r} must be finite: "
-                                 f"{text!r}")
-                if name in _WHOLE_FIELDS:
-                    if value != int(value):
-                        raise _error(path, lineno, f"field {name!r} must be an "
-                                     f"integer: {text!r}")
-                    value = int(value)
-                values.append(value)
-            frame, track_id, _, _, w, h = values[:6]
-            if frame < 1:
-                raise _error(path, lineno, "frame must be >= 1")
-            if records:
-                if track_id < 1:
-                    raise _error(path, lineno, f"track id must be >= 1, got {track_id}")
-                if w <= 0 or h <= 0:
-                    raise _error(path, lineno,
-                                 f"box sides must be positive, got w={w} h={h}")
-                if (frame, track_id) in seen:
-                    raise _error(path, lineno, "duplicate (frame, id) pair "
-                                 f"({frame}, {track_id})")
-                seen.add((frame, track_id))
-            elif w <= 0 or h <= 0:
-                logger.warning(
-                    "%s: line %d: rejected detection with non-positive size "
-                    "w=%s h=%s", path, lineno, w, h,
-                )
-            yield values
-
-
-def _clean(table: np.ndarray, names: Sequence[str], records: bool) -> bool:
-    """Whether a parsed table passes every check ``_rows`` makes, so that
-    no line needs naming or logging."""
     frame, track_id, w, h = table[:, 0], table[:, 1], table[:, 4], table[:, 5]
-    whole = table[:, [i for i, name in enumerate(names) if name in _WHOLE_FIELDS]]
-    if not (np.isfinite(table).all() and (whole == np.trunc(whole)).all()
-            and (frame >= 1).all() and (w > 0).all() and (h > 0).all()):
-        return False
-    if not records:
-        return True
-    order = np.lexsort((track_id, frame))
-    frame, track_id = frame[order], track_id[order]
-    repeated = (frame[1:] == frame[:-1]) & (track_id[1:] == track_id[:-1])
-    return bool((track_id >= 1).all() and not repeated.any())
+    whole = np.array([name in _WHOLE_FIELDS for name in names])
+    rules = [~np.isfinite(table) | (whole & (table != np.trunc(table))), frame < 1]
+    if records:
+        order = np.lexsort((track_id, frame))
+        repeat = np.zeros(len(table), dtype=bool)
+        repeat[order[1:]] = ((frame[order][1:] == frame[order][:-1])
+                             & (track_id[order][1:] == track_id[order][:-1]))
+        rules += [track_id < 1, (w <= 0) | (h <= 0), repeat]
+    broken = np.column_stack(rules)
+    rows = broken.any(axis=1)
+    if not rows.any():
+        return None
+    row = int(rows.argmax())
+    return row, int(broken[row].argmax())
+
+
+def _number(text: str) -> float | None:
+    """``text`` as a float, or None (nan in a table) if it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _fault(names: Sequence[str], texts: Sequence[str], values: list, rule: int) -> str:
+    """What a row of field ``texts`` and ``values`` breaks, by rule number."""
+    if rule < len(names):
+        text = texts[rule].strip()
+        problem = ("is not numeric" if _number(text) is None
+                   else "must be finite" if not math.isfinite(values[rule])
+                   else "must be an integer")
+        return f"field {names[rule]!r} {problem}: {text!r}"
+    frame, track_id, _, _, w, h = values[:6]
+    return ("frame must be >= 1",
+            f"track id must be >= 1, got {int(track_id)}",
+            f"box sides must be positive, got w={w} h={h}",
+            f"duplicate (frame, id) pair ({int(frame)}, {int(track_id)})")[rule - len(names)]
 
 
 def _table(path, names: Sequence[str], records: bool) -> np.ndarray:
     """The fields ``names`` of every non-blank line, as a (lines, fields)
     float array in file order.
 
-    numpy parses the whole file in one call and the array is checked at
-    once.  Only when that parse or a check fails is the file read again by
-    ``_rows``, which names the first bad line (and logs each rejected
-    detection) or, finding no fault, supplies the values itself: ``float``
-    accepts spellings that numpy does not, such as ``1_000``, and
-    whitespace-only lines.
+    numpy parses the whole file in one call.  Only if that fails, a row
+    breaks a rule or a detection is dropped are the lines split and their
+    fields parsed by ``float``, which also takes ``1_000`` and blank-looking
+    lines; the same check then names the first bad line, after logging each
+    dropped detection before it.
     """
     try:
         with warnings.catch_warnings():
@@ -197,10 +163,30 @@ def _table(path, names: Sequence[str], records: bool) -> np.ndarray:
         pass
     else:
         table = table.reshape(-1, len(names))
-        if _clean(table, names, records):
+        if (_first_fault(table, names, records) is None
+                and (records or (table[:, 4:6] > 0).all())):
             return table
-    return np.array(list(_rows(path, names, records)),
-                    dtype=float).reshape(-1, len(names))
+    with open(path, "r", encoding="utf-8", newline=None) as fh:
+        lines = [(lineno, line.split(",")) for lineno, line in enumerate(fh, start=1)
+                 if line.strip()]
+    short = next((i for i, (_, texts) in enumerate(lines) if len(texts) < len(names)),
+                 len(lines))
+    table = np.array([[_number(text) for text in texts[:len(names)]]
+                      for _, texts in lines[:short]], dtype=float).reshape(-1, len(names))
+    fault = _first_fault(table, names, records)
+    end = short if fault is None else fault[0]
+    if not records:
+        for row in np.flatnonzero((table[:end, 4:6] <= 0).any(axis=1)):
+            logger.warning("%s: line %d: rejected detection with non-positive size "
+                           "w=%s h=%s", path, lines[row][0], *table[row, 4:6].tolist())
+    if fault is not None:
+        row, rule = fault
+        what = _fault(names, lines[row][1], table[row].tolist(), rule)
+        raise MotFileError(f"{path}: line {lines[row][0]}: {what}")
+    if short < len(lines):
+        raise MotFileError(f"{path}: line {lines[short][0]}: expected at least "
+                           f"{len(names)} comma-separated fields, got {len(lines[short][1])}")
+    return table
 
 
 def _columns(table: np.ndarray, names: Sequence[str]) -> list[list]:
@@ -282,7 +268,11 @@ def write_results(path, tracked: Sequence[MotRecord]) -> None:
 
 
 def write_detections(path, detections_by_frame: dict[int, list[Detection]]) -> None:
-    """Write detections (id column -1) in frame order."""
+    """Write detections (id column -1) in frame order, each keyed by its frame."""
+    for frame, detections in detections_by_frame.items():
+        stray = [d.frame for d in detections if d.frame != frame]
+        if stray:
+            raise ValueError(f"key {frame} holds a detection of frame {stray[0]}")
     _write(path, ((frame, -1, d.box, f"{d.confidence:.6f},-1,-1,-1")
                   for frame in sorted(detections_by_frame)
                   for d in detections_by_frame[frame]))

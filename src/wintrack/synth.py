@@ -114,6 +114,15 @@ class NoiseSpec:
                 raise ScenarioError(f"bad confidence dip {(t, a, b, c)}")
 
 
+# Scenario's whole-number fields by scenario-file key: (field, least value).
+_COUNTS = {"seed": ("seed", 0), "frames": ("frame_count", 1)}  # numpy rejects seeds < 0
+
+
+def _check_count(what: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -123,10 +132,8 @@ class Scenario:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        for name, least in (("seed", 0), ("frame_count", 1)):  # numpy rejects seeds < 0
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ScenarioError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, least in _COUNTS.values():
+            _check_count(name, getattr(self, name), least)
         for key in ("dropout_windows", "confidence_dips"):
             for t, *_ in getattr(self.noise, key):
                 if t > len(self.targets):
@@ -261,6 +268,9 @@ def load_scenario(path) -> Scenario:
     values = sections["scenario"]
     if "frames" not in values:
         raise ScenarioError(f"{path}: missing key 'frames' in [scenario]")
+    for key, (_, least) in _COUNTS.items():
+        if key in values:
+            _check_count(f"{path}: [scenario] {key!r}", values[key], least)
     try:
         return Scenario(name=values.get("name", Path(path).stem), seed=values.get("seed", 0),
                         frame_count=values["frames"],

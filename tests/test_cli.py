@@ -467,7 +467,8 @@ class TestSynthCommand:
         cfg.write_text("[scenario]\nframes = 10\nseed = -1\n")
         code = main(["synth", "--scenario", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 3
-        assert f"{cfg}: seed must be an integer >= 0" in capsys.readouterr().err
+        assert (f"{cfg}: [scenario] 'seed' must be an integer >= 0, got -1"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key, value, named", [
         ("jitter_std", "nan", "jitter_std"),
@@ -475,7 +476,7 @@ class TestSynthCommand:
         ("width", "inf", "width"),
         ("height", "nan", "height"),
         ("waypoints", "1:nan:100", "waypoint"),
-        ("frames", "0", "frame_count"),
+        ("frames", "0", "[scenario] 'frames' must be an integer >= 1, got 0"),
     ])
     def test_non_finite_scenario_value_is_data_error(self, tmp_path, capsys,
                                                      key, value, named):

@@ -267,6 +267,55 @@ class TestRowCodec:
         assert det_path.read_text() == "2,-1,10.00,20.50,30.00,40.25,0.500000,-1,-1,-1\n"
         assert gt_path.read_text() == "2,3,10.00,20.50,30.00,40.25,1,1,0.75\n"
 
+    @pytest.mark.parametrize("reader", [read_detections, read_results, read_ground_truth])
+    def test_float_only_spellings_read_as_plain_numbers(self, tmp_path, reader):
+        # numpy's parse rejects a whitespace-only line and a digit separator.
+        odd, plain = tmp_path / "odd.txt", tmp_path / "plain.txt"
+        odd.write_text(" \t \n1,2,1_000,20,30,40,1,1,0.5\n")
+        plain.write_text("1,2,1000,20,30,40,1,1,0.5\n")
+        assert reader(odd) == reader(plain)
+
+    def test_detection_under_another_frame_key_rejected(self, tmp_path):
+        p = tmp_path / "det.txt"
+        box = BoundingBox(10.0, 20.0, 30.0, 40.0)
+        with pytest.raises(ValueError, match=r"key 2 holds a detection of frame 5"):
+            write_detections(p, {2: [Detection(5, box, 0.5)]})
+
+
+class TestFaultMessages:
+    """The whole text of each fault, and each rejected detection logged
+    before it."""
+
+    @pytest.mark.parametrize("reader, lines, logged, message", [
+        (read_detections,
+         ["1,-1,10,20,0,40,0.9", "0,-1,10,20,30,40,0.9", "1,-1,10,20,0,40,0.9"],
+         ["line 1: rejected detection with non-positive size w=0.0 h=40.0"],
+         "line 2: frame must be >= 1"),
+        (read_results,
+         ["1,1,10,20,30,-4,1", "1,1,10,20,30,40,1", "1,2,nan,20,30,40,1"],
+         [], "line 1: box sides must be positive, got w=30.0 h=-4.0"),
+        (read_results,
+         ["1,1,10,20,30,40,1", "", "1,1,11,20,30,40,1"],
+         [], "line 3: duplicate (frame, id) pair (1, 1)"),
+        (read_results,
+         ["1,1,10,20,30,40,1", "1,2,abc,20,30,40,1", "1,3,10"],
+         [], "line 2: field 'x' is not numeric: 'abc'"),
+        (read_ground_truth,
+         ["1,1,10,20,30,40,1,1,1", "1,2", "1,3,abc,20,30,40,1,1,1"],
+         [], "line 2: expected at least 9 comma-separated fields, got 2"),
+        (read_ground_truth,
+         ["1,1,10,20,30,40,1,1.5,Infinity"],
+         [], "line 1: field 'class' must be an integer: '1.5'"),
+    ])
+    def test_fault_text(self, tmp_path, caplog, reader, lines, logged, message):
+        p = tmp_path / "c.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING, logger="wintrack.motio"):
+            with pytest.raises(MotFileError) as info:
+                reader(p)
+        assert str(info.value) == f"{p}: {message}"
+        assert [r.getMessage() for r in caplog.records] == [f"{p}: {m}" for m in logged]
+
 
 # Every row is valid for all three readers: detections read frame, id, box
 # and confidence; results the same with the id as track id; ground truth
@@ -303,6 +352,10 @@ _READER_CASES = {
 }
 
 
+def _no_loadtxt(*args, **kwargs):
+    raise ValueError("numpy parse disabled")
+
+
 def _outcome(reader, path, caplog) -> tuple[str, list]:
     """What a reader returns (or the error it raises) and what it logs."""
     caplog.clear()
@@ -320,8 +373,8 @@ def test_array_reader_matches_line_parser(tmp_path, monkeypatch, caplog, reader,
     p.write_bytes(text.encode())
     with caplog.at_level(logging.WARNING, logger="wintrack.motio"):
         array = _outcome(reader, p, caplog)
-        # No table passes its checks, so every file is read by _rows alone.
-        monkeypatch.setattr(motio, "_clean", lambda *args: False)
+        # numpy's parse fails, so every line is split and parsed by float.
+        monkeypatch.setattr(motio.np, "loadtxt", _no_loadtxt)
         by_line = _outcome(reader, p, caplog)
     assert array == by_line
 
@@ -333,7 +386,7 @@ def test_clean_file_is_not_read_line_by_line(tmp_path, monkeypatch, reader):
     expected = reader(p)
 
     def unused(*args):
-        raise AssertionError("the per-line parser ran on a clean file")
+        raise AssertionError("the line split parsed a field of a clean file")
 
-    monkeypatch.setattr(motio, "_rows", unused)
+    monkeypatch.setattr(motio, "_number", unused)
     assert reader(p) == expected
