@@ -5,17 +5,20 @@ truth and one for predictions.  A sequence is paired once, into arrays:
 each side's ids and boxes in frame order, and one IoU matrix per frame,
 all held in one flat array whose cells at IoU >= 0.05 are indexed by frame,
 row and column.  All three metrics read that pairing; a frame that
-repeats an id on either side is rejected.  The three accumulators are
+repeats an id on either side is rejected, as is an id that is not an
+integer (a bool included).  The three accumulators are
 pure counts so multi-sequence aggregation pools raw counts (never
 averages of scores):
 
 * ClearCounts come from per-frame matching at a fixed IoU threshold with
   match persistence: a previous frame's correspondence survives while both
   ids are present and still overlap enough; remaining pairs are assigned
-  optimally (most matches first, then highest total IoU), by the solver
-  only in a frame where two pairs at the threshold share a row or a
-  column.  An identity switch is counted when a ground-truth id's matched
-  prediction differs from its most recently matched one.
+  optimally (most matches first, then highest total IoU).  Only a frame
+  where two pairs at the threshold share a row or a column is walked, in
+  frame order, with the solver; elsewhere those pairs are the matches.  An
+  identity switch is counted when a ground-truth id's matched prediction
+  differs from its most recently matched one, read off the matches sorted
+  by ground-truth id and frame.
     MOTA = 1 - (FN + FP + IDSW) / gtDet
     MOTP = mean IoU over true positives (higher is better), 0 without any
 
@@ -32,13 +35,16 @@ averages of scores):
   HOTA_alpha over the grid.  The indexed cells are thresholded at all
   alphas at once; where an alpha's admissible pairs in a frame share no
   row and no column they already are its one maximum matching, so the
-  solver runs only at the alphas and frames where they are not.
+  solver runs only at the alphas and frames where they are not.  TPA is
+  counted per alpha and distinct (g, p) pair of the cells, never over all
+  ground-truth ids times predicted ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import reduce
+from numbers import Integral
 from operator import add
 from typing import Iterable, Sequence
 
@@ -145,10 +151,14 @@ class _Side:
     side's distinct ids (mapped in Python, so an id may exceed int64), the
     boxes as one array, and each frame's first row."""
 
-    def __init__(self, frames: FrameBoxes, order: list[int]):
+    def __init__(self, frames: FrameBoxes, order: list[int], side: str):
         items = [frames.get(f, []) for f in order]
         sizes = [len(rows) for rows in items]
         self.ids = [i for rows in items for i, _ in rows]
+        if any(t is bool or not issubclass(t, Integral) for t in set(map(type, self.ids))):
+            f, i = next((f, i) for f, rows in zip(order, items) for i, _ in rows
+                        if isinstance(i, bool) or not isinstance(i, Integral))
+            raise ValueError(f"{side}: frame {f} has id {i!r}, not an integer")
         index: dict[int, int] = {}
         self.code = np.array([index.setdefault(i, len(index)) for i in self.ids],
                              dtype=np.intp)
@@ -168,7 +178,7 @@ class _Pairing:
 
     def __init__(self, gt: FrameBoxes, pred: FrameBoxes):
         order = sorted(gt.keys() | pred.keys())
-        self.gt, self.pred = _Side(gt, order), _Side(pred, order)
+        self.gt, self.pred = _Side(gt, order, "ground truth"), _Side(pred, order, "prediction")
         if self.gt.repeats or self.pred.repeats:
             for frame in order:
                 _unique_ids(gt.get(frame, []), "ground truth", frame)
@@ -186,10 +196,9 @@ class _Pairing:
         self.pred_row = self.pred.start[self.frame] + local % width
         self.iou = self.flat[cell]
 
-    def frame_at(self, f: int) -> tuple[list[int], list[int], np.ndarray]:
+    def frame_at(self, f: int) -> np.ndarray:
         (a, b), (c, d) = self.gt.start[f:f + 2], self.pred.start[f:f + 2]
-        overlap = self.flat[self.start[f]:self.start[f + 1]].reshape(b - a, d - c)
-        return self.gt.ids[a:b], self.pred.ids[c:d], overlap
+        return self.flat[self.start[f]:self.start[f + 1]].reshape(b - a, d - c)
 
     def crowded_frames(self, kept) -> list[int]:
         """Frames where two kept cells share a row or a column."""
@@ -206,51 +215,46 @@ def _match_pairs(overlap: np.ndarray, threshold: float) -> tuple[np.ndarray, np.
     return solve(1.0 - overlap, overlap >= threshold)
 
 
-def _solve_rest(g: list[int], p: list[int], overlap: np.ndarray, kept: list) -> list:
-    """The optimal matches among the rows and columns no kept pair takes."""
-    taken_g, taken_p = ({key[side] for key, _ in kept} for side in (0, 1))
-    rest_g = [r for r, i in enumerate(g) if i not in taken_g]
-    rest_p = [c for c, i in enumerate(p) if i not in taken_p]
-    if not (rest_g and rest_p):
-        return []
-    rest = overlap[np.ix_(rest_g, rest_p)]
-    rows, cols = _match_pairs(rest, CLEAR_IOU_THRESHOLD)
-    return [((g[rest_g[r]], p[rest_p[c]]), float(rest[r, c]))
-            for r, c in zip(rows.tolist(), cols.tolist())]
-
-
 def _clear(seq: _Pairing) -> ClearCounts:
     over = seq.iou >= CLEAR_IOU_THRESHOLD
-    gt_ids, pred_ids = seq.gt.ids, seq.pred.ids
-    # ((gt id, pred id), IoU) of every pair at the threshold, by frame and row.
-    hits = list(zip(zip([gt_ids[r] for r in seq.gt_row[over].tolist()],
-                        [pred_ids[c] for c in seq.pred_row[over].tolist()]),
-                    seq.iou[over].tolist()))
-    bounds = np.searchsorted(seq.frame[over], np.arange(len(seq.start))).tolist()
-    crowded_frames = set(seq.crowded_frames(over))
-    tp = idsw = 0
-    similarity_sum = 0.0
-    prev: dict[tuple[int, int], int] = {}  # previous frame's matches, in order
-    last_match: dict[int, int] = {}        # most recent matched pred id per gt id
-    for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        pairs = hits[lo:hi]
-        # A match persists, first and in its previous order, while its pair
-        # still overlaps enough.  The frame's other pairs are new matches, by
-        # row, unless two of its pairs share a row or a column: then the solver picks.
-        kept = sorted((h for h in pairs if h[0] in prev), key=lambda h: prev[h[0]])
-        if f in crowded_frames:
-            pairs = kept + _solve_rest(*seq.frame_at(f), kept)
-        elif kept:
-            pairs = kept + [h for h in pairs if h[0] not in prev]
-        for (gid, pid), s in pairs:
-            similarity_sum += s
-            previous = last_match.get(gid)
-            if previous is not None and previous != pid:
-                idsw += 1
-            last_match[gid] = pid
-        tp += len(pairs)
-        prev = {key: n for n, (key, _) in enumerate(pairs)}
-    gt_det, pred_det = len(gt_ids), len(pred_ids)
+    frame, rows, cols, iou = seq.frame[over], seq.gt_row[over], seq.pred_row[over], seq.iou[over]
+    g, p = seq.gt, seq.pred
+    gi, pi = g.code[rows], p.code[cols]
+    pair = gi * p.n_ids + pi
+    bounds = np.searchsorted(frame, np.arange(len(seq.start)))
+    # An uncrowded frame matches its pairs at the threshold.  A crowded one,
+    # in frame order, keeps the pairs the frame before it matched while they
+    # still overlap enough, and the solver picks among the rows and columns left.
+    matched = np.ones(len(frame), dtype=bool)
+    for f in seq.crowded_frames(over):
+        lo, hi = bounds[f], bounds[f + 1]
+        before = slice(bounds[f - 1] if f else lo, lo)
+        kept = np.isin(pair[lo:hi], pair[before][matched[before]])
+        r, c = rows[lo:hi] - g.start[f], cols[lo:hi] - p.start[f]
+        overlap = seq.frame_at(f)
+        taken = np.zeros(overlap.shape, dtype=bool)
+        taken[r[kept], c[kept]] = True
+        rest_r, rest_c = np.flatnonzero(~taken.any(1)), np.flatnonzero(~taken.any(0))
+        if len(rest_r) and len(rest_c):
+            sr, sc = _match_pairs(overlap[np.ix_(rest_r, rest_c)], CLEAR_IOU_THRESHOLD)
+            taken[rest_r[sr], rest_c[sc]] = True
+        matched[lo:hi] = taken[r, c]
+    frame, rows, iou, gi, pi = (a[matched] for a in (frame, rows, iou, gi, pi))
+    # By gt id, then frame: a switch is a change of pred id, and a match the
+    # frame before with the same pred id carries the run on.
+    by_gt = np.argsort(gi, kind="stable")
+    gi, pi, fi = gi[by_gt], pi[by_gt], frame[by_gt]
+    same = gi[1:] == gi[:-1]
+    idsw = int((same & (pi[1:] != pi[:-1])).sum())
+    begins = np.ones(len(gi), dtype=bool)
+    begins[1:] = ~(same & (pi[1:] == pi[:-1]) & (fi[1:] == fi[:-1] + 1))
+    run_row = rows[by_gt][np.maximum.accumulate(np.where(begins, np.arange(len(gi)), 0))]
+    # Within a frame, carried matches come first in the order they were made
+    # and new ones follow by gt row: by the gt row where each run began.
+    # np.cumsum adds in that order one at a time; np.sum would add pairwise.
+    order = np.lexsort((run_row, fi))
+    similarity_sum = float(np.cumsum(iou[by_gt][order])[-1]) if len(order) else 0.0
+    tp, gt_det, pred_det = len(gi), len(g.ids), len(p.ids)
     return ClearCounts(gt_det, tp, pred_det - tp, gt_det - tp, idsw, similarity_sum)
 
 
@@ -305,7 +309,7 @@ def _hota(seq: _Pairing) -> HotaAccumulator:
     # Each alpha admits a subset of the pairs the alpha below it admits, so
     # only the frames crowded at the lowest alpha need the solver.
     for f in seq.crowded_frames(slice(None)):
-        overlap = seq.frame_at(f)[2]
+        overlap = seq.frame_at(f)
         stack = overlap >= thresholds[:, :, None]
         for a in np.flatnonzero(crowded(stack)):
             rows, cols = _match_pairs(overlap, HOTA_ALPHAS[a])
@@ -316,21 +320,24 @@ def _hota(seq: _Pairing) -> HotaAccumulator:
                                    seq.pred_row[lo:hi] - seq.pred.start[f]]
     alpha, cell = np.nonzero(admitted)
     tp = np.bincount(alpha, minlength=n).astype(float)
-    gi = seq.gt.code[seq.gt_row[cell]]
-    pi = seq.pred.code[seq.pred_row[cell]]
     gt_len = np.bincount(seq.gt.code, minlength=seq.gt.n_ids)
     pred_len = np.bincount(seq.pred.code, minlength=seq.pred.n_ids)
-    # One term per (alpha, gt id, pred id).  np.add.at adds them one at a
-    # time in the order each pair was first matched, frame by frame within
-    # an alpha, as running counts would, so every last bit holds; np.sum
-    # would add them pairwise.
-    key = (alpha * len(gt_len) + gi) * len(pred_len) + pi
-    _, first, count = np.unique(key, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    first, count = first[order], count[order]
-    terms = count * (count / (gt_len[gi[first]] + pred_len[pi[first]] - count))
+    # One term per (alpha, gt id, pred id), keyed by alpha and the index of
+    # the cell's (gt id, pred id) pair.  np.add.at adds them one at a time in
+    # the order each pair was first matched, frame by frame within an alpha,
+    # as running counts would, so every last bit holds; np.sum would add
+    # them pairwise.
+    gi, pi = seq.gt.code[seq.gt_row], seq.pred.code[seq.pred_row]
+    pairs, pair = np.unique(gi * seq.pred.n_ids + pi, return_inverse=True)
+    key = alpha * len(pairs) + pair[cell]
+    count = np.bincount(key, minlength=n * len(pairs))
+    first = np.full(len(count), len(key))
+    np.minimum.at(first, key, np.arange(len(key)))
+    seen = first[key] == np.arange(len(key))  # each key's first entry
+    count, c = count[key[seen]], cell[seen]
+    terms = count * (count / (gt_len[gi[c]] + pred_len[pi[c]] - count))
     ass_sum = np.zeros(n)
-    np.add.at(ass_sum, alpha[first], terms)
+    np.add.at(ass_sum, alpha[seen], terms)
     return HotaAccumulator(tp, len(seq.gt.ids) - tp, len(seq.pred.ids) - tp, ass_sum)
 
 

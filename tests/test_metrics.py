@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -193,6 +196,22 @@ class TestHota:
         gt = single_track(range(1, 5))
         score, acc = hota(gt, {})
         assert score == 0.0
+
+    def test_memory_stays_small_with_many_distinct_ids(self):
+        # One row per frame and 2,000 distinct ids per side: an index over
+        # every (alpha, gt id, pred id) would need about 600 MiB.
+        n = 2000
+        gt = {f: [(f, box(50.0, 50.0))] for f in range(1, n + 1)}
+        pred = {f: [(n + f, box(50.0, 50.0))] for f in range(1, n + 1)}
+        seq = wintrack.metrics._Pairing(gt, pred)
+        tracemalloc.start()
+        try:
+            acc = wintrack.metrics._hota(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+        assert acc.tp.tolist() == acc.ass_sum.tolist() == [float(n)] * len(HOTA_ALPHAS)
 
     def test_alpha_grid(self):
         assert len(HOTA_ALPHAS) == 19
@@ -423,6 +442,25 @@ class TestPerFrameOracles:
                          for f in frames} for _ in range(2))
             assert_equals_per_frame_oracles(gt, pred)
 
+    def test_long_contended_instances_carry_matches(self):
+        # Up to 30 frames of grid boxes, the predicted ids past int64: crowded
+        # frames follow crowded and uncrowded ones, so a match carried into a
+        # crowded frame comes from the solver or from a frame's plain cells.
+        rng = random.Random(13)
+        follows = Counter()
+        for _ in range(500):
+            frames = range(1, rng.randint(2, 31))
+            gt, pred = ({f: [(i + offset, BoundingBox(rng.choice([0, 1, 2, 3]), rng.choice([0, 1]),
+                                                      rng.choice([4, 5, 6]), 5.0))
+                             for i in rng.sample(range(1, 7), rng.randint(0, 4))]
+                         for f in frames} for offset in (0, 2 ** 63))
+            paired = pair_per_frame(gt, pred)
+            crowd = [bool(crowded(overlap >= 0.5)) if overlap.size else False
+                     for _, _, overlap in paired]
+            follows.update(zip(crowd, crowd[1:]))
+            assert repr(match_clear(gt, pred)) == repr(clear_per_frame(paired))
+        assert follows[True, True] > 1000 and follows[False, True] > 1000
+
 
 class TestEvaluate:
     def test_perfect_report(self):
@@ -498,6 +536,23 @@ class TestEvaluate:
         assert repr(got.identity) == repr(want.identity)
         for field in ("mota", "motp", "idf1", "hota", "det_a", "ass_a"):
             assert getattr(got, field).hex() == getattr(want, field).hex()
+
+    @pytest.mark.parametrize("bad", [float("nan"), True, 1.0, 2.5, "1"])
+    def test_non_integer_id_rejected(self, bad):
+        # Scored as ids, nan would split into two trajectories and a switch,
+        # True and 1.0 would merge with id 1, and 2.5 would be scored.
+        b = box(50.0, 50.0)
+        gt = {1: [(1, b)], 2: [(1, b)]}
+        pred = {1: [(1, b)], 2: [(bad, b)]}
+        with pytest.raises(ValueError, match=rf"^prediction: frame 2 has id {re.escape(repr(bad))}, not an integer$"):
+            evaluate(gt, pred)
+        with pytest.raises(ValueError, match=r"^ground truth: frame 2 has id"):
+            evaluate(pred, gt)
+
+    def test_numpy_integer_ids_score_like_ints(self):
+        gt, pred = crossed_two_by_two()
+        wide = {f: [(np.int64(i), b) for i, b in items] for f, items in pred.items()}
+        assert repr(evaluate(gt, wide).clear) == repr(evaluate(gt, pred).clear)
 
     def test_one_iou_matrix_per_frame(self, monkeypatch):
         gt, dets = generate(bundled_scenario("crossing"))
