@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import isfinite
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -42,13 +40,9 @@ class BoundingBox:
         return BoundingBox(self.x + dx, self.y + dy, self.w, self.h)
 
 
-_XYWH = attrgetter("x", "y", "w", "h")
-
-
 def box_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """Boxes as one (N, 4) array of (x, y, w, h) rows."""
-    return np.fromiter(chain.from_iterable(map(_XYWH, boxes)), dtype=float,
-                       count=4 * len(boxes)).reshape(-1, 4)
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import reduce
-from numbers import Integral
 from operator import add
 from typing import Iterable, Sequence
 
@@ -52,7 +51,7 @@ import numpy as np
 
 from .assignment import crowded, solve
 from .geometry import BoundingBox, box_array, iou_matrix
-from .motio import MotRecord
+from .motio import MotRecord, check_int_ids
 
 # frame -> [(id, box), ...]
 FrameBoxes = dict[int, list[tuple[int, BoundingBox]]]
@@ -155,10 +154,7 @@ class _Side:
         items = [frames.get(f, []) for f in order]
         sizes = [len(rows) for rows in items]
         self.ids = [i for rows in items for i, _ in rows]
-        if any(t is bool or not issubclass(t, Integral) for t in set(map(type, self.ids))):
-            f, i = next((f, i) for f, rows in zip(order, items) for i, _ in rows
-                        if isinstance(i, bool) or not isinstance(i, Integral))
-            raise ValueError(f"{side}: frame {f} has id {i!r}, not an integer")
+        check_int_ids(side, (f for f, rows in zip(order, items) for _ in rows), self.ids)
         index: dict[int, int] = {}
         self.code = np.array([index.setdefault(i, len(index)) for i in self.ids],
                              dtype=np.intp)

@@ -28,6 +28,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,6 +81,15 @@ class MotRecord:
     def __post_init__(self):
         if self.track_id < 1:
             raise ValueError(f"track id must be >= 1, got {self.track_id}")
+
+
+def check_int_ids(label: str, frames: Iterable[int], ids: Sequence) -> None:
+    """Raise ValueError on the first id that is a bool or not an integer,
+    naming its frame; ``frames`` runs alongside ``ids``."""
+    if any(t is bool or not issubclass(t, Integral) for t in set(map(type, ids))):
+        f, i = next((f, i) for f, i in zip(frames, ids)
+                    if isinstance(i, bool) or not isinstance(i, Integral))
+        raise ValueError(f"{label}: frame {f} has id {i!r}, not an integer")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .assignment import solve
 from .geometry import box_array, iou_matrix
-from .motio import Detection, MotRecord
+from .motio import Detection, MotRecord, check_int_ids
 from .trackers import _TrackerBase, track_frames
 
 # A level-1 id m with no level-2 match is emitted as this offset plus m, which
@@ -114,10 +114,7 @@ class WindowedTracker:
         if row_frames != pushed:
             stray, f = next(p for p in zip(row_frames, pushed) if p[0] != p[1])
             raise ValueError(f"row frame {stray} does not match pushed frame {f}")
-        if any(t is bool or not issubclass(t, Integral) for t in set(map(type, level1_ids))):
-            f, i = next((f, i) for f, i in zip(pushed, level1_ids)
-                        if isinstance(i, bool) or not isinstance(i, Integral))
-            raise ValueError(f"level-1 rows: frame {f} has id {i!r}, not an integer")
+        check_int_ids("level-1 rows", pushed, level1_ids)
         if max(level1_ids, default=0) >= LEVEL1_ID_LIMIT:
             raise ValueError(f"level-1 id {max(level1_ids)} is not below {LEVEL1_ID_LIMIT}")
         if len(set(zip(pushed, level1_ids))) < len(rows):

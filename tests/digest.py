@@ -6,11 +6,15 @@ tracker kinds alone and the 9 level-1/level-2 pairs at k in {1, 2, 3, 5}
 as float hex) and every ``evaluate`` field of each run against the scene's
 ground truth (scores as float hex, count reprs, HOTA arrays as float hex).
 Prints one line, ``rows-and-reports <sha256> <runs> runs <rows> rows``,
-which must equal the line recorded in DIGESTS.txt at the repo root:
+and exits 1 unless it equals the line recorded in DIGESTS.txt at the repo
+root:
 
-    PYTHONPATH=src python tests/digest.py | diff DIGESTS.txt -
+    PYTHONPATH=src python tests/digest.py
 
-A change that means to move outputs or scores updates DIGESTS.txt and says
+On a mismatch it names the Python, numpy and scipy versions it ran with
+beside the ones DIGESTS.txt was recorded with, so a difference that comes
+from the libraries alone can be told from a change to the program.  A
+change that means to move outputs or scores updates DIGESTS.txt and says
 why.  pytest does not collect this file: it takes about 20 s.
 """
 
@@ -18,7 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,6 +37,7 @@ from wintrack.synth import BUNDLED_SUITE, bundled_scenario, generate  # noqa: E4
 from wintrack.trackers import TRACKER_KINDS, TrackerConfig, make_tracker, run_tracker  # noqa: E402
 from wintrack.window import WindowedTracker, run_windowed  # noqa: E402
 
+RECORDED = Path(__file__).resolve().parent.parent / "DIGESTS.txt"
 K_VALUES = (1, 2, 3, 5)
 SCORES = ("mota", "motp", "idf1", "hota", "det_a", "ass_a")
 
@@ -75,7 +85,14 @@ def main() -> None:
             digest.update(("\n".join(lines) + "\n").encode())
             n_runs += 1
             n_rows += len(rows)
-    print(f"rows-and-reports {digest.hexdigest()} {n_runs} runs {n_rows} rows")
+    line = f"rows-and-reports {digest.hexdigest()} {n_runs} runs {n_rows} rows"
+    print(line)
+    recorded = RECORDED.read_text().splitlines()
+    if line not in recorded:
+        versions = next((r for r in recorded if r.startswith("# recorded with")), "# none recorded")
+        sys.exit(f"differs from {RECORDED.name}: {recorded[0]}\n"
+                 f"here: Python {platform.python_version()}, numpy {np.__version__},"
+                 f" scipy {scipy.__version__}; {RECORDED.name} {versions[2:]}")
 
 
 if __name__ == "__main__":
