@@ -25,7 +25,12 @@ averages of scores):
 * IdentityCounts come from one global bipartite matching of ground-truth
   trajectories to predicted trajectories that maximizes the number of
   per-frame matches (frames where the paired trajectories overlap at
-  IoU >= 0.5); IDF1 = IDTP / (IDTP + 0.5 IDFN + 0.5 IDFP).
+  IoU >= 0.5); IDF1 = IDTP / (IDTP + 0.5 IDFN + 0.5 IDFP).  Matches are
+  counted per distinct (gt, pred) trajectory pair.  Where every pair has
+  an end that no other pair shares, the pairs form stars and IDTP is the
+  sum of each star's largest count; otherwise the solver matches the
+  trajectories that have a match, and only those.  IDTP is an integer
+  optimum, so how ties break does not move it.
 
 * HOTA sweeps alpha over 0.05..0.95 in steps of 0.05.  At each alpha an
   optimal per-frame matching at IoU >= alpha yields detection counts, and
@@ -274,17 +279,33 @@ def _identity(seq: _Pairing) -> IdentityCounts:
     """Trajectory-level matching maximizing total per-frame matches."""
     over = seq.iou >= IDENTITY_IOU_THRESHOLD
     g, p = seq.gt, seq.pred
-    # matches[r, c]: frames where gt trajectory r and predicted trajectory c
-    # overlap at IoU >= the identity threshold.
-    matches = np.bincount(g.code[seq.gt_row[over]] * p.n_ids + p.code[seq.pred_row[over]],
-                          minlength=g.n_ids * p.n_ids).reshape(g.n_ids, p.n_ids)
-    # Minimizing the negated match counts maximizes IDTP; pairing a
-    # trajectory with a zero-match partner is equivalent to leaving it
-    # unpaired, so no dummy padding is needed.  Every pair stays
-    # admissible: admitting only pairs with matches would put the number of
-    # pairs before IDTP (a-x 10, a-y 1, b-x 1 would pair a-y and b-x).
-    rows, cols = solve(-matches, np.ones(matches.shape, dtype=bool))
-    idtp = int(matches[rows, cols].sum())
+    # count: frames where gt trajectory gi and predicted trajectory pi
+    # overlap at IoU >= the identity threshold, per distinct (gi, pi) pair.
+    pairs, count = np.unique(g.code[seq.gt_row[over]] * p.n_ids + p.code[seq.pred_row[over]],
+                             return_counts=True)
+    gi, pi = np.divmod(pairs, p.n_ids)
+    deg_g, deg_p = np.bincount(gi)[gi], np.bincount(pi)[pi]
+    if ((deg_g == 1) | (deg_p == 1)).all():
+        # Every pair has an end no other pair shares, so each component is
+        # a star, keyed by its centre (a lone pair by its pred end).  The
+        # stars' best pairs share no trajectory and no matching scores more.
+        best = np.zeros(g.n_ids + p.n_ids, dtype=count.dtype)
+        np.maximum.at(best, np.where(deg_g > 1, gi, g.n_ids + pi), count)
+        idtp = int(best.sum())
+    else:
+        # Over the trajectories with a match only: one without adds 0 to any
+        # matching.  Minimizing the negated match counts maximizes IDTP;
+        # pairing a trajectory with a zero-match partner is equivalent to
+        # leaving it unpaired, so no dummy padding is needed.  Every pair
+        # stays admissible: admitting only pairs with matches would put the
+        # number of pairs before IDTP (a-x 10, a-y 1, b-x 1 would pair a-y
+        # and b-x).
+        g_ids, gi = np.unique(gi, return_inverse=True)
+        p_ids, pi = np.unique(pi, return_inverse=True)
+        matches = np.zeros((len(g_ids), len(p_ids)), dtype=count.dtype)
+        matches[gi, pi] = count
+        rows, cols = solve(-matches, np.ones(matches.shape, dtype=bool))
+        idtp = int(matches[rows, cols].sum())
     return IdentityCounts(idtp=idtp, idfp=len(p.ids) - idtp, idfn=len(g.ids) - idtp)
 
 

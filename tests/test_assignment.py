@@ -233,8 +233,9 @@ import numpy as np
 import wintrack
 from oracles import solve_bruteforce, total_cost
 from wintrack.cli import main
-from wintrack.synth import Scenario, TargetSpec, generate
-from wintrack.trackers import TrackerConfig, make_tracker
+from wintrack.metrics import evaluate, frames_from_records
+from wintrack.synth import Scenario, TargetSpec, bundled_scenario, generate
+from wintrack.trackers import TrackerConfig, make_tracker, run_tracker
 from wintrack.window import WindowedTracker, run_windowed
 
 assert "scipy" not in sys.modules, "import wintrack"
@@ -261,6 +262,14 @@ for l1, l2 in (("bytetrack", "ocsort"), ("ocsort", "bytetrack")):
     # Every walker is tracked, bar the frames before a track is confirmed.
     assert len(run_windowed(tracker, detections)) > 100
 assert "scipy" not in sys.modules, "run_windowed over a sparse scene"
+
+# A level-1 run on idswitch splits one gt id over two predicted ids, a
+# star: identity takes its best pair and calls no solver.
+gt, detections = generate(bundled_scenario("idswitch"))
+report = evaluate(frames_from_records(gt.evaluable()),
+                  frames_from_records(run_tracker(make_tracker(TrackerConfig()), detections)))
+assert 0 < report.identity.idfp and 0 < report.identity.idfn
+assert "scipy" not in sys.modules, "evaluate of a level-1 run on idswitch"
 
 cost = np.array([[0.4, 0.1, 0.7], [0.2, 0.3, 0.9], [0.5, 0.6, 0.8]])
 fast = wintrack.solve(cost, cost < 0.75)

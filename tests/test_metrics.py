@@ -22,6 +22,7 @@ from wintrack.geometry import BoundingBox, iou_matrix
 from wintrack.metrics import (
     HOTA_ALPHAS,
     HotaAccumulator,
+    IdentityCounts,
     UndefinedMetricError,
     evaluate,
     evaluate_sequences,
@@ -166,6 +167,121 @@ class TestIdf1:
             expected_score, idtp, idfp, idfn = idf1_bruteforce(gt, pred)
             assert counts.idtp == idtp
             assert score == pytest.approx(expected_score, abs=1e-12)
+
+
+class TestIdentity:
+    def test_memory_stays_small_with_many_distinct_ids(self):
+        # One row per frame and 2,000 distinct ids per side: a dense
+        # gt ids x pred ids match matrix and the solver's copies of it
+        # would need about 150 MiB.
+        n = 2000
+        gt = {f: [(f, box(50.0, 50.0))] for f in range(1, n + 1)}
+        pred = {f: [(n + f, box(50.0, 50.0))] for f in range(1, n + 1)}
+        seq = wintrack.metrics._Pairing(gt, pred)
+        tracemalloc.start()
+        try:
+            counts = wintrack.metrics._identity(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+        assert (counts.idtp, counts.idfp, counts.idfn) == (n, 0, 0)
+
+    def test_matches_bruteforce_on_every_pair_graph_shape(self):
+        rng = random.Random(28)
+        seen = Counter()
+        for case in range(1000):
+            shape = IDENTITY_SHAPES[case % len(IDENTITY_SHAPES)]
+            gt, pred, edges = identity_instance(rng, shape)
+            seen[pair_graph_kind(edges, gt, pred)] += 1
+            _, idtp, idfp, idfn = idf1_bruteforce(gt, pred)
+            assert idf1(gt, pred)[1] == IdentityCounts(idtp, idfp, idfn), (shape, edges)
+        # Each kind of pair graph the identity counts tell apart, many times.
+        assert min(seen[k] for k in ("star", "mixed stars", "contended", "empty side")) >= 100, seen
+
+
+# Pair graphs of identity_instance: the edges (gt id, pred id) that match in
+# some frame, by shape.
+IDENTITY_SHAPES = ("stars", "mixed stars", "swap", "random", "empty side")
+
+
+def identity_instance(rng: random.Random, shape: str):
+    """Up to 5 ids per side over 8 frames, and the {(gt id, pred id): frames
+    matched} edges of their pair graph.  Gt id a moves in its own cell, 100 px
+    from any other; a pred box on it either matches it (the same box, IoU 1)
+    or misses it (shifted 6 px, IoU 0.25).  Unmatched rows of both sides and
+    far-off predictions ride along."""
+    n_frames, gts, preds = 8, [1, 2, 3, 4, 5], [11, 12, 13, 14, 15]
+    rng.shuffle(gts)
+    rng.shuffle(preds)
+
+    def weight():
+        return rng.choice((1, 1, 2, 3, 6))
+
+    if shape == "stars":  # each a gt split over preds or a pred over gts
+        edges = {}
+        while gts and preds and rng.random() < 0.8:
+            centre, leaves = (gts, preds) if rng.random() < 0.5 else (preds, gts)
+            c = centre.pop()
+            for _ in range(min(len(leaves), rng.randint(1, 3))):
+                leaf = leaves.pop()
+                edges[(c, leaf) if centre is gts else (leaf, c)] = weight()
+    elif shape == "mixed stars":  # one gt over two preds, one pred over two gts
+        (a, b, c), (x, y, z) = gts[:3], preds[:3]
+        edges = {(a, x): weight(), (a, y): weight(), (b, z): weight(), (c, z): weight()}
+    elif shape == "swap":  # a and b each matched by both x and y
+        (a, b), (x, y) = gts[:2], preds[:2]
+        edges = {(a, x): weight(), (a, y): weight(), (b, y): weight(), (b, x): weight()}
+    elif shape == "random":
+        edges = {(a, x): weight() for a in gts[:rng.randint(1, 5)]
+                 for x in preds[:rng.randint(1, 5)] if rng.random() < 0.4}
+    else:
+        edges = {}
+    if shape == "empty side" and rng.random() < 0.7:
+        n_gt, n_pred = rng.choice(((0, rng.randint(0, 5)), (rng.randint(0, 5), 0)))
+    else:
+        n_gt, n_pred = rng.randint(0, 3), rng.randint(0, 3)
+    gt_ids = sorted({a for a, _ in edges} | set(gts[:n_gt]))
+    pred_ids = sorted({x for _, x in edges} | set(preds[:n_pred]))
+    gt_at = {a: set() for a in gt_ids}  # frames each id has a row in
+    pred_at = {x: set() for x in pred_ids}
+    gt = {f: [] for f in range(1, n_frames + 1)}
+    pred = {f: [] for f in range(1, n_frames + 1)}
+    matched = Counter()
+    for (a, x), w in edges.items():
+        free = sorted(set(gt) - gt_at[a] - pred_at[x])
+        for f in rng.sample(free, min(w, len(free))):
+            gt_at[a].add(f)
+            pred_at[x].add(f)
+            gt[f].append((a, box(100.0 * a, 50.0)))
+            pred[f].append((x, box(100.0 * a, 50.0)))
+            matched[a, x] += 1
+    for a in gt_ids:  # unmatched gt rows, some with a pred box that misses
+        for f in sorted(set(gt) - gt_at[a]):
+            if rng.random() < 0.3:
+                gt[f].append((a, box(100.0 * a, 50.0)))
+                free = [x for x in pred_ids if f not in pred_at[x]]
+                if free and rng.random() < 0.5:
+                    x = rng.choice(free)
+                    pred_at[x].add(f)
+                    pred[f].append((x, box(100.0 * a + 6.0, 50.0)))
+    for x in pred_ids:  # far-off predictions
+        for f in sorted(set(pred) - pred_at[x]):
+            if rng.random() < 0.1:
+                pred[f].append((x, box(50.0 * x, 500.0)))
+    return gt, pred, dict(matched)
+
+
+def pair_graph_kind(edges, gt, pred) -> str:
+    if not any(gt.values()) or not any(pred.values()):
+        return "empty side"
+    deg_g = Counter(a for a, _ in edges)
+    deg_p = Counter(x for _, x in edges)
+    if any(deg_g[a] > 1 and deg_p[x] > 1 for a, x in edges):
+        return "contended"
+    if any(d > 1 for d in deg_g.values()) and any(d > 1 for d in deg_p.values()):
+        return "mixed stars"
+    return "star" if edges else "no match"
 
 
 class TestHota:

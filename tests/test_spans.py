@@ -4,6 +4,8 @@ on either side would make a layer read 0 without failing anything else."""
 import importlib.util
 from pathlib import Path
 
+from wintrack.geometry import BoundingBox
+from wintrack.metrics import evaluate
 from wintrack.synth import bundled_scenario, generate
 from wintrack.trackers import TrackerConfig, make_tracker
 from wintrack.window import WindowedTracker, run_windowed
@@ -54,3 +56,21 @@ def test_tracking_spans_fire_on_a_windowed_run():
         tracer.uninstall()
     totals = tracer.totals()
     assert [name for name in TRACKING_SPANS if name not in totals] == []
+
+
+def test_metrics_spans_fire_on_a_contended_evaluate():
+    # Two gt ids, each labelled x for two frames and y for two: every
+    # trajectory pair matches, so identity calls the solver.  The bench's
+    # `score` sequences never contend, so its traced run cannot show this.
+    a, b = BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(100.0, 0.0, 10.0, 10.0)
+    gt = {f: [(1, a), (2, b)] for f in range(1, 5)}
+    pred = {f: [(11, a), (12, b)] if f < 3 else [(12, a), (11, b)] for f in range(1, 5)}
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert evaluate(gt, pred).identity.idtp == 4
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert [name for name in ("geometry.iou@metrics", "assignment.solve@metrics")
+            if name not in totals] == []
